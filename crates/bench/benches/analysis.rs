@@ -4,8 +4,9 @@
 //! a second).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use xbound_core::peak_power::compute_peak_power;
-use xbound_core::{CoAnalysis, ExploreConfig, SymbolicExplorer, UlpSystem};
+use xbound_core::{
+    bound_tree, CoAnalysis, Corner, ExploreConfig, SweepSpec, SymbolicExplorer, UlpSystem,
+};
 
 fn bench_algorithm1(c: &mut Criterion) {
     let sys = UlpSystem::openmsp430_class().expect("builds");
@@ -93,10 +94,22 @@ fn bench_algorithm2(c: &mut Criterion) {
     let program = bench.program().expect("assembles");
     let explorer = SymbolicExplorer::new(sys.cpu(), ExploreConfig::default());
     let (tree, _) = explorer.explore(&program).expect("explores");
+    let spec = SweepSpec::new(vec![Corner::nominal(sys.library().clone(), sys.clock_hz())]);
     let mut g = c.benchmark_group("algorithm2_peak_power");
     g.sample_size(10);
     g.bench_function("mult_even_odd_assignment", |b| {
-        b.iter(|| compute_peak_power(sys.cpu().netlist(), sys.library(), sys.clock_hz(), &tree));
+        b.iter(|| {
+            bound_tree(
+                sys.cpu().netlist(),
+                &tree,
+                &spec,
+                true,
+                1,
+                1,
+                None,
+                |_, b| b,
+            )
+        });
     });
     g.finish();
 }

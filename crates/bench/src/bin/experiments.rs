@@ -29,7 +29,7 @@ use rand::SeedableRng;
 use xbound_baselines::{design_tool, stressmark, GUARDBAND};
 use xbound_bench::{emit, geomean, mw, npe, pct, Harness, Table, SEED};
 use xbound_core::optimize::{optimize_program, OptimizeOptions};
-use xbound_core::UlpSystem;
+use xbound_core::{Corner, SweepSpec, UlpSystem};
 use xbound_logic::Lv;
 use xbound_msp430::assemble;
 use xbound_netlist::{CellKind, Netlist};
@@ -909,25 +909,20 @@ fn ablation(h: &mut Harness) {
         let explorer =
             xbound_core::SymbolicExplorer::new(sys.cpu(), Harness::explore_config(bench));
         let (tree, _) = explorer.explore(&program).expect("explores");
-        let naive = xbound_core::peak_power::compute_peak_power_opts(
-            sys.cpu().netlist(),
-            sys.library(),
-            sys.clock_hz(),
-            &tree,
-            false,
-        );
-        let refined = xbound_core::peak_power::compute_peak_power_opts(
-            sys.cpu().netlist(),
-            sys.library(),
-            sys.clock_hz(),
-            &tree,
-            true,
-        );
+        let spec = SweepSpec::new(vec![Corner::nominal(sys.library().clone(), sys.clock_hz())]);
+        let peak_mw = |use_stability| {
+            let nl = sys.cpu().netlist();
+            let rounds = bench.energy_rounds();
+            xbound_core::bound_tree(nl, &tree, &spec, use_stability, rounds, 1, None, |_, b| {
+                b.peak.peak_mw
+            })[0]
+        };
+        let (naive, refined) = (peak_mw(false), peak_mw(true));
         t.row(&[
             name.to_string(),
-            mw(naive.peak_mw),
-            mw(refined.peak_mw),
-            pct(-(1.0 - refined.peak_mw / naive.peak_mw) * 100.0),
+            mw(naive),
+            mw(refined),
+            pct(-(1.0 - refined / naive) * 100.0),
         ]);
     }
     let body = format!(

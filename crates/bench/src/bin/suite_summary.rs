@@ -57,8 +57,13 @@
 //!   write it to PATH at exit; load it at `chrome://tracing` or
 //!   <https://ui.perfetto.dev>. `XBOUND_TRACE=PATH` is the environment
 //!   spelling. Tracing never changes result bytes — only timings.
+//! * `-h`, `--help` — print the usage and exit.
 //! * positional names — restrict the run to those benchmarks (the CI smoke
 //!   invocation runs a fast subset).
+//!
+//! Bad input (an unknown option or benchmark, a missing or non-numeric
+//! value, `--sweep` combined with `--validate`/`--incremental`) prints a
+//! one-line error and exits with status 2.
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -66,6 +71,41 @@ use xbound_core::jsonout::JsonWriter;
 use xbound_core::{
     par, summary, BatchExploreStats, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem,
 };
+
+const USAGE: &str = "\
+usage: suite_summary [OPTIONS] [BENCH...]
+
+Co-analyzes the benchmark suite (or the named benchmarks) and prints one
+summary line per benchmark.
+
+options:
+  --oracle             run on the full-levelized evaluation engine
+  --compiled           run on the compiled evaluation engine
+  --threads N          suite-level worker pool size (default: auto)
+  --validate N         validate each analysis against N random concrete runs
+  --lanes N            lane width of the batched validation runs
+  --explore-lanes N    lane width of batched symbolic exploration
+  --json PATH          write per-benchmark timings and bounds as JSON
+  --bounds PATH        write one canonical bound line per benchmark
+  --incremental        attach a subtree memo (XBOUND_MEMO overrides)
+  --sweep PATH         bound every corner of the default operating-point
+                       grid and write the curves to PATH
+  --sweep-corners N    truncate the grid to its first N corners
+  --trace PATH         record a Chrome trace of the run to PATH
+  -h, --help           print this help
+";
+
+/// Prints a one-line error and exits with status 2 (bad command line).
+fn fail(msg: &str) -> ! {
+    xbound_obs::error!("suite", "{msg} (see --help)");
+    std::process::exit(2);
+}
+
+/// Parses the numeric value of `flag`.
+fn number(flag: &str, v: &str) -> usize {
+    v.parse()
+        .unwrap_or_else(|_| fail(&format!("bad value `{v}` for {flag}")))
+}
 
 struct Row {
     name: &'static str,
@@ -100,66 +140,52 @@ fn main() {
     let mut incremental = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut value = |flag: &str| {
+            args.next()
+                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
+        };
         match a.as_str() {
+            "-h" | "--help" => {
+                print!("{USAGE}");
+                return;
+            }
             "--oracle" => std::env::set_var("XBOUND_SIM_ENGINE", "levelized"),
             "--compiled" => std::env::set_var("XBOUND_SIM_ENGINE", "compiled"),
             "--incremental" => incremental = true,
-            "--sweep" => sweep_path = Some(args.next().expect("--sweep PATH")),
-            "--sweep-corners" => {
-                sweep_corners = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sweep-corners N");
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads N");
-            }
-            "--lanes" => {
-                lanes = args.next().and_then(|v| v.parse().ok()).expect("--lanes N");
-            }
-            "--explore-lanes" => {
-                explore_lanes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--explore-lanes N");
-            }
-            "--validate" => {
-                validate_runs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--validate N");
-            }
-            "--json" => json_path = Some(args.next().expect("--json PATH")),
-            "--bounds" => bounds_path = Some(args.next().expect("--bounds PATH")),
+            "--sweep" => sweep_path = Some(value("--sweep")),
+            "--sweep-corners" => sweep_corners = number(&a, &value(&a)),
+            "--threads" => threads = number(&a, &value(&a)),
+            "--lanes" => lanes = number(&a, &value(&a)),
+            "--explore-lanes" => explore_lanes = number(&a, &value(&a)),
+            "--validate" => validate_runs = number(&a, &value(&a)),
+            "--json" => json_path = Some(value("--json")),
+            "--bounds" => bounds_path = Some(value("--bounds")),
             "--trace" => {
-                let path = args.next().expect("--trace PATH");
+                let path = value("--trace");
                 xbound_obs::trace::enable();
                 trace_path = Some(path);
             }
+            other if other.starts_with('-') => fail(&format!("unknown option `{other}`")),
             other => names.push(other.to_string()),
         }
+    }
+    if let Some(n) = names
+        .iter()
+        .find(|n| xbound_benchsuite::by_name(n).is_none())
+    {
+        fail(&format!("unknown benchmark `{n}`"));
+    }
+    if sweep_path.is_some() && (validate_runs > 0 || incremental) {
+        fail("--sweep is not combinable with --validate or --incremental");
     }
     let benches: Vec<&'static xbound_benchsuite::Benchmark> = xbound_benchsuite::all()
         .iter()
         .filter(|b| names.is_empty() || names.iter().any(|n| n == b.name()))
         .collect();
-    for n in &names {
-        assert!(
-            xbound_benchsuite::by_name(n).is_some(),
-            "unknown benchmark `{n}`"
-        );
-    }
 
     let sys = UlpSystem::openmsp430_class().unwrap();
     println!("gates: {}", sys.cpu().netlist().gate_count());
     if let Some(curve_path) = sweep_path {
-        assert!(
-            validate_runs == 0 && !incremental,
-            "--sweep is not combinable with --validate/--incremental"
-        );
         sweep_mode(
             &sys,
             &benches,

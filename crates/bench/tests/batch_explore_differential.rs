@@ -8,8 +8,10 @@
 //! **bit-identical** between the 1-lane/1-thread reference (the historical
 //! scalar explorer) and any `(threads, lanes)` setting.
 
-use xbound_core::peak_power::compute_peak_power;
-use xbound_core::{ExecutionTree, ExploreConfig, ExploreStats, SymbolicExplorer, UlpSystem};
+use xbound_core::{
+    bound_tree, Corner, ExecutionTree, ExploreConfig, ExploreStats, SweepSpec, SymbolicExplorer,
+    UlpSystem,
+};
 
 fn explore_config(
     bench: &xbound_benchsuite::Benchmark,
@@ -65,18 +67,24 @@ fn all_benchmarks_explore_identically_at_8_lanes() {
             .expect("batched explores");
         assert_trees_identical(bench.name(), "1x8", &reference.0, &batched.0);
         assert_stats_identical(bench.name(), "1x8", &reference.1, &batched.1);
-        let peak_ref = compute_peak_power(
-            sys.cpu().netlist(),
-            sys.library(),
-            sys.clock_hz(),
-            &reference.0,
-        );
-        let peak_batched = compute_peak_power(
-            sys.cpu().netlist(),
-            sys.library(),
-            sys.clock_hz(),
-            &batched.0,
-        );
+        let spec = SweepSpec::new(vec![Corner::nominal(sys.library().clone(), sys.clock_hz())]);
+        let peak = |tree: &ExecutionTree| {
+            let rounds = bench.energy_rounds();
+            bound_tree(
+                sys.cpu().netlist(),
+                tree,
+                &spec,
+                true,
+                rounds,
+                1,
+                None,
+                |_, b| b.peak,
+            )
+            .pop()
+            .expect("one corner")
+        };
+        let peak_ref = peak(&reference.0);
+        let peak_batched = peak(&batched.0);
         assert_eq!(
             peak_ref.peak_mw,
             peak_batched.peak_mw,

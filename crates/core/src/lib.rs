@@ -3,6 +3,9 @@
 //!
 //! * [`activity`] — Algorithm 1 (symbolic exploration → execution tree);
 //! * [`peak_power`] — Algorithm 2 (even/odd X assignment → per-cycle bound);
+//! * [`sweep`] — [`bound_tree`], the one Algorithm 2 path over any list of
+//!   operating-point corners (a single-corner analysis is a one-corner
+//!   sweep);
 //! * [`coi`] — cycles-of-interest: culprit instructions + module breakdown;
 //! * [`optimize`] — the three peak-power software optimizations (§5.1);
 //! * [`validate`] — toggle-superset and power-dominance checks (§3.4).
@@ -70,9 +73,9 @@ use xbound_sim::SimError;
 
 pub use activity::{BatchExploreStats, ExploreConfig, ExploreStats, SymbolicExplorer};
 pub use coi::{cycles_of_interest, CycleOfInterest};
-pub use peak_power::{compute_peak_energy, compute_peak_power, PeakEnergyResult, PeakPowerResult};
+pub use peak_power::{compute_peak_energy, PeakEnergyResult, PeakPowerResult};
 pub use summary::BoundsReport;
-pub use sweep::{run_sweep, Corner, SweepAnalysis, SweepSpec};
+pub use sweep::{bound_tree, run_sweep, Corner, SweepAnalysis, SweepSpec};
 pub use tree::{ExecutionTree, SegmentEnd, SegmentId};
 pub use validate::{ConcreteRunCheck, DominanceReport, SupersetReport};
 
@@ -427,7 +430,10 @@ impl<'s> CoAnalysis<'s> {
         self
     }
 
-    /// Runs Algorithm 1 + Algorithm 2 + the peak-energy computation.
+    /// Runs Algorithm 1, then Algorithm 2 and the peak-energy computation
+    /// as a one-corner sweep ([`bound_tree`]) at this system's library and
+    /// clock. With a memo attached, Algorithm 2 replays per-segment traces
+    /// from its [`memo::SegmentPowerCache`].
     ///
     /// # Errors
     ///
@@ -436,30 +442,37 @@ impl<'s> CoAnalysis<'s> {
         let _span = xbound_obs::trace::span("co_analysis");
         xbound_obs::metrics::counter("xbound_analyses_total").inc();
         let mut explorer = SymbolicExplorer::new(self.system.cpu(), self.config);
-        let ctx = memo::context_hash(
-            &self.config,
-            self.system.library().name(),
-            self.system.clock_hz(),
-        );
         if let Some(store) = &self.memo {
+            let ctx = memo::context_hash(
+                &self.config,
+                self.system.library().name(),
+                self.system.clock_hz(),
+            );
             explorer = explorer.with_memo(store.clone(), ctx);
         }
         let (tree, stats) = explorer.explore(program)?;
-        let peak = peak_power::compute_peak_power_cached(
-            self.system.cpu().netlist(),
-            self.system.library(),
+        let spec = SweepSpec::new(vec![Corner::nominal(
+            self.system.library().clone(),
             self.system.clock_hz(),
+        )]);
+        let bound = bound_tree(
+            self.system.cpu().netlist(),
             &tree,
+            &spec,
             true,
-            self.memo.as_deref().map(|m| (m.power(), ctx)),
-        );
-        let energy = compute_peak_energy(&tree, &peak, self.system.clock_hz(), self.energy_rounds);
+            self.energy_rounds,
+            1,
+            self.memo.as_deref().map(memo::SubtreeMemo::power),
+            |_, bound| bound,
+        )
+        .pop()
+        .expect("one corner");
         Ok(Analysis {
             system: self.system,
             tree,
             stats,
-            peak,
-            energy,
+            peak: bound.peak,
+            energy: bound.energy,
         })
     }
 }

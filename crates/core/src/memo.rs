@@ -69,7 +69,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use xbound_logic::{Frame, Lv, XWord};
-use xbound_power::PowerTrace;
+use xbound_power::EnergyTrace;
 use xbound_sim::MachineState;
 
 use crate::activity::ExploreConfig;
@@ -352,10 +352,10 @@ pub struct MemoStats {
     /// Segments stitched from replays: the replayed segment itself plus
     /// one per fork direction it seeded.
     pub stitched_segments: u64,
-    /// Segment-power compositions served from the cache (Algorithm 2
-    /// traces replayed instead of recomputed).
+    /// Segment energy-trace pairs served from the segment-power cache
+    /// (Algorithm 2 traces replayed instead of recomputed).
     pub power_hits: u64,
-    /// Segment-power compositions that had to recompute.
+    /// Segment energy-trace pairs that had to recompute.
     pub power_misses: u64,
 }
 
@@ -423,9 +423,9 @@ impl SubtreeMemo {
         }
     }
 
-    /// The segment-power composition cache riding along with this store
-    /// (in-memory only; it shares the store's byte budget semantics but
-    /// not its persistence — traces are recomputed per process).
+    /// The segment-power cache riding along with this store (in-memory
+    /// only; it shares the store's byte budget semantics but not its
+    /// persistence — traces are recomputed per process).
     pub fn power(&self) -> &SegmentPowerCache {
         &self.power
     }
@@ -594,19 +594,66 @@ impl SubtreeMemo {
     }
 }
 
-// --- segment-power composition cache ----------------------------------
+// --- segment-power cache ----------------------------------------------
 
-/// One cached segment-power composition: the even/odd parity traces of
-/// Algorithm 2 for one `(context, start-cycle parity, boundary frame,
-/// adjusted frames)` key, stored delta-coded for exact verification.
-struct PowerEntry {
-    ctx: u64,
+/// The key of one [`SegmentPowerCache`] entry: exactly what Algorithm 2
+/// reads for one (segment, derated library) — the library name, the
+/// stability flag, the segment's start-cycle parity, the parent's
+/// adjusted last frame, and the segment's adjusted frames (delta-coded,
+/// the same canonical form the subtree memo persists).
+///
+/// A key is built once per segment lookup and handed to
+/// [`SegmentPowerCache::record`] on a miss, so each segment is hashed and
+/// delta-coded once.
+#[derive(Debug, PartialEq)]
+pub(crate) struct PowerKey {
+    hash: u64,
+    library: String,
+    use_stability: bool,
     odd_start: bool,
     boundary: Option<Frame>,
     first: Option<Frame>,
     deltas: Vec<Vec<(u32, u8)>>,
-    even: PowerTrace,
-    odd: PowerTrace,
+}
+
+impl PowerKey {
+    /// The key of one segment's trace pair under `library`.
+    pub(crate) fn new(
+        library: &str,
+        use_stability: bool,
+        odd_start: bool,
+        boundary: Option<&Frame>,
+        frames: &[Frame],
+    ) -> PowerKey {
+        let mut h = Fnv::new();
+        h.u64(library.len() as u64);
+        h.bytes(library.as_bytes());
+        h.u64(u64::from(use_stability));
+        h.u64(u64::from(odd_start));
+        h.u64(boundary.map_or(u64::MAX, Frame::content_hash));
+        h.u64(frames.len() as u64);
+        for f in frames {
+            h.u64(f.content_hash());
+        }
+        let (first, deltas) = delta_code(frames);
+        PowerKey {
+            hash: h.0,
+            library: library.to_string(),
+            use_stability,
+            odd_start,
+            boundary: boundary.cloned(),
+            first,
+            deltas,
+        }
+    }
+}
+
+/// One cached segment trace pair, with its full key for exact
+/// verification.
+struct PowerEntry {
+    key: PowerKey,
+    even: EnergyTrace,
+    odd: EnergyTrace,
     bytes: usize,
     stamp: u64,
 }
@@ -614,22 +661,30 @@ struct PowerEntry {
 impl PowerEntry {
     fn approx_bytes(&self) -> usize {
         let frame_bytes = |f: &Frame| f.len() / 4 + 48;
-        let mut n = 128;
-        n += self.boundary.as_ref().map_or(0, frame_bytes);
-        n += self.first.as_ref().map_or(0, frame_bytes);
-        n += self.deltas.iter().map(|d| d.len() * 6 + 32).sum::<usize>();
+        let k = &self.key;
+        let mut n = 128 + k.library.len();
+        n += k.boundary.as_ref().map_or(0, frame_bytes);
+        n += k.first.as_ref().map_or(0, frame_bytes);
+        n += k.deltas.iter().map(|d| d.len() * 6 + 32).sum::<usize>();
         n += (self.even.approx_bytes() + self.odd.approx_bytes()) as usize;
         n
     }
 }
 
-/// In-memory cache of per-segment Algorithm 2 results, keyed by exactly
-/// what that computation reads: the analysis context (library, clock,
-/// stability knob), the segment's start-cycle parity, the parent's
-/// adjusted last frame, and the segment's adjusted frames. Hits are
-/// verified by full equality of that key material (delta-coded, the same
-/// canonical form the subtree memo persists), so a replayed trace pair is
-/// bit-identical to a recomputation by construction.
+/// In-memory cache of per-segment Algorithm 2 results: the even/odd
+/// [`EnergyTrace`] pair of one (segment, derated library), keyed by
+/// exactly what that computation reads — the library name, the stability
+/// flag, the segment's start-cycle parity, the parent's adjusted last
+/// frame, and the segment's adjusted frames. Hits are verified by full
+/// equality of the key, so a replayed trace pair is bit-identical to a
+/// recomputation by construction. [`crate::sweep::bound_tree`] looks
+/// each (segment, library) up and records its misses.
+///
+/// Neither the clock nor the exploration knobs are key material: energy
+/// traces are clock-free (each analysis converts them at its own clock),
+/// and the key holds the adjusted frames themselves, whatever explored
+/// them. A re-analysis at another clock, or under other exploration
+/// knobs that reach the same frames, hits.
 ///
 /// Unlike the subtree memo this cache is never persisted: traces are
 /// process-local and rebuild on first (cold) use.
@@ -652,18 +707,6 @@ impl std::fmt::Debug for SegmentPowerCache {
     }
 }
 
-fn power_key(ctx: u64, odd_start: bool, boundary: Option<&Frame>, frames: &[Frame]) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(ctx);
-    h.u64(u64::from(odd_start));
-    h.u64(boundary.map_or(u64::MAX, Frame::content_hash));
-    h.u64(frames.len() as u64);
-    for f in frames {
-        h.u64(f.content_hash());
-    }
-    h.0
-}
-
 impl SegmentPowerCache {
     fn new(budget_bytes: usize) -> SegmentPowerCache {
         SegmentPowerCache {
@@ -676,44 +719,13 @@ impl SegmentPowerCache {
         }
     }
 
-    /// A standalone cache with its own byte budget, detached from any
-    /// subtree memo — the per-corner composition cache of an
-    /// operating-point sweep ([`crate::sweep`]), where each corner's
-    /// context would otherwise thrash one shared LRU.
-    pub fn with_budget(budget_bytes: usize) -> SegmentPowerCache {
-        SegmentPowerCache::new(budget_bytes)
-    }
-
-    /// Traces replayed from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of resident entries.
-    pub fn entries(&self) -> usize {
-        self.inner.lock().expect("power cache lock").len()
-    }
-
-    /// Looks one segment's parity-trace pair up. A hit requires the whole
-    /// key material to verify by equality; anything else is a miss.
-    pub fn lookup(
-        &self,
-        ctx: u64,
-        odd_start: bool,
-        boundary: Option<&Frame>,
-        frames: &[Frame],
-    ) -> Option<(PowerTrace, PowerTrace)> {
-        let key = power_key(ctx, odd_start, boundary, frames);
-        let (first, deltas) = delta_code(frames);
+    /// Looks one segment's trace pair up. A hit requires the whole key to
+    /// verify by equality; anything else is a miss.
+    pub(crate) fn lookup(&self, key: &PowerKey) -> Option<(EnergyTrace, EnergyTrace)> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut map = self.inner.lock().expect("power cache lock");
-        if let Some(e) = map.get_mut(&key) {
-            if e.ctx == ctx
-                && e.odd_start == odd_start
-                && e.boundary.as_ref() == boundary
-                && e.first == first
-                && e.deltas == deltas
-            {
+        if let Some(e) = map.get_mut(&key.hash) {
+            if e.key == *key {
                 e.stamp = stamp;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 memo_metrics().power_hits.inc();
@@ -725,24 +737,12 @@ impl SegmentPowerCache {
         None
     }
 
-    /// Records one segment's computed parity-trace pair.
-    pub fn record(
-        &self,
-        ctx: u64,
-        odd_start: bool,
-        boundary: Option<&Frame>,
-        frames: &[Frame],
-        even: &PowerTrace,
-        odd: &PowerTrace,
-    ) {
-        let key = power_key(ctx, odd_start, boundary, frames);
-        let (first, deltas) = delta_code(frames);
+    /// Records one segment's computed trace pair under the key its
+    /// missed lookup built.
+    pub(crate) fn record(&self, key: PowerKey, even: &EnergyTrace, odd: &EnergyTrace) {
+        let hash = key.hash;
         let mut entry = PowerEntry {
-            ctx,
-            odd_start,
-            boundary: boundary.cloned(),
-            first,
-            deltas,
+            key,
             even: even.clone(),
             odd: odd.clone(),
             bytes: 0,
@@ -752,7 +752,7 @@ impl SegmentPowerCache {
 
         let mut map = self.inner.lock().expect("power cache lock");
         let added = entry.bytes as u64;
-        let removed = map.insert(key, entry).map_or(0, |old| old.bytes as u64);
+        let removed = map.insert(hash, entry).map_or(0, |old| old.bytes as u64);
         let mut resident =
             self.resident_bytes.fetch_add(added, Ordering::Relaxed) + added - removed;
         self.resident_bytes.fetch_sub(removed, Ordering::Relaxed);
@@ -762,7 +762,7 @@ impl SegmentPowerCache {
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(&k, _)| k)
                 .expect("non-empty map");
-            if oldest == key {
+            if oldest == hash {
                 break; // never evict the entry just inserted
             }
             let evicted = map.remove(&oldest).expect("present").bytes as u64;

@@ -194,56 +194,6 @@ pub fn merge_adjusted_frames(tree: &ExecutionTree) -> Vec<Vec<Frame>> {
     adjusted
 }
 
-/// Assigns Xs for one parity over the whole tree.
-///
-/// Segment-boundary pairs use a private copy of the parent's last frame so
-/// sibling paths cannot constrain each other (keeps the bound sound for
-/// every path independently). Pairs proved stable by [`stability`] are
-/// held (no transition charged); the rest follow the paper's maximizing
-/// assignment. Frames come from [`merge_adjusted_frames`], which makes the
-/// bound valid for paths that re-enter a segment through a memoization
-/// merge.
-pub fn assign_parity(
-    nl: &Netlist,
-    lib: &CellLibrary,
-    tree: &ExecutionTree,
-    parity: Parity,
-) -> ParityAssignment {
-    let adjusted = merge_adjusted_frames(tree);
-    assign_parity_with(nl, lib, tree, &adjusted, parity)
-}
-
-/// [`assign_parity`] over precomputed adjusted frames (shared between the
-/// even and odd assignments).
-pub fn assign_parity_with(
-    nl: &Netlist,
-    lib: &CellLibrary,
-    tree: &ExecutionTree,
-    adjusted: &[Vec<Frame>],
-    parity: Parity,
-) -> ParityAssignment {
-    assign_parity_opts(nl, lib, tree, adjusted, parity, true)
-}
-
-/// [`assign_parity_with`] with the stability analysis optionally disabled —
-/// used by the ablation experiment to quantify how much pessimism the
-/// stability rules remove (naive Algorithm 2 charges every X pair).
-pub fn assign_parity_opts(
-    nl: &Netlist,
-    lib: &CellLibrary,
-    tree: &ExecutionTree,
-    adjusted: &[Vec<Frame>],
-    parity: Parity,
-    use_stability: bool,
-) -> ParityAssignment {
-    let tr = MaxTransitions::build(nl, lib);
-    let mut st = AssignScratch::new(nl);
-    let segments = (0..tree.segments().len())
-        .map(|si| assign_segment(nl, tree, adjusted, si, parity, use_stability, &tr, &mut st))
-        .collect();
-    ParityAssignment { parity, segments }
-}
-
 /// Max transition (first, second) per net, by driver cell, packed as
 /// word-wide bitplanes for the word-parallel resolve kernel; primary
 /// inputs default to (false, true).
@@ -251,11 +201,11 @@ pub fn assign_parity_opts(
 /// The table is a pure function of *(netlist, library energy ordering)*:
 /// it only reads each cell's [`xbound_cells::CellPower::max_transition`]
 /// direction, never the energy magnitudes. Build it once per
-/// `(netlist, library)` and reuse it across every
-/// [`compute_peak_power_shared`] call — in particular across all the
-/// voltage/clock corners of an operating-point sweep, since a voltage
-/// derate scales rise and fall by the same factor and cannot flip any
-/// direction (see [`xbound_cells::CellLibrary::derated`]).
+/// `(netlist, library)` and reuse it across every segment's assignment
+/// ([`assign_tree`], [`crate::sweep::bound_tree`]) — in particular across
+/// all the voltage/clock corners of an operating-point sweep, since a
+/// voltage derate scales rise and fall by the same factor and cannot flip
+/// any direction (see [`xbound_cells::CellLibrary::derated`]).
 #[derive(Debug, Clone)]
 pub struct MaxTransitions {
     first: Vec<u64>,
@@ -284,7 +234,7 @@ impl MaxTransitions {
     }
 }
 
-/// Reusable per-tree scratch for the assignment kernel: the stability
+/// Reusable per-segment scratch for the assignment kernel: the stability
 /// bitset and its all-zero stand-in for the ablation path.
 struct AssignScratch {
     st: Vec<u64>,
@@ -300,11 +250,43 @@ impl AssignScratch {
     }
 }
 
-/// The per-segment body of [`assign_parity_opts`]: resolves one segment's
-/// Xs for one parity. Depends only on the segment's adjusted frames, its
-/// parent's adjusted last frame, and the segment's start-cycle parity —
-/// which is what makes the segment-power composition cache of
-/// [`compute_peak_power_cached`] sound.
+/// One segment's resolved frames for one parity: the resolved
+/// boundary-previous frame (parent's last frame, private copy) and the
+/// resolved segment frames.
+pub(crate) type SegmentFrames = (Option<Frame>, Vec<Frame>);
+
+/// Resolves one segment's Xs for both parities, even first — the
+/// per-segment assignment kernel of Algorithm 2, shared by
+/// [`assign_tree`] and the streamed [`crate::sweep::bound_tree`].
+///
+/// Segment-boundary pairs use a private copy of the parent's last frame
+/// so sibling paths cannot constrain each other (keeps the bound sound
+/// for every path independently). Pairs proved stable by [`stability`]
+/// are held (no transition charged) unless `use_stability` is off (the
+/// ablation: the paper's literal maximizing assignment); the rest follow
+/// the paper's maximizing assignment. Frames come from
+/// [`merge_adjusted_frames`], which makes the bound valid for paths that
+/// re-enter a segment through a memoization merge.
+///
+/// The result depends only on the segment's adjusted frames, its parent's
+/// adjusted last frame, the segment's start-cycle parity, and the table —
+/// which is what makes the segment-power cache
+/// ([`crate::memo::SegmentPowerCache`]) sound.
+pub(crate) fn assign_segment_pair(
+    nl: &Netlist,
+    tree: &ExecutionTree,
+    adjusted: &[Vec<Frame>],
+    si: usize,
+    use_stability: bool,
+    tr: &MaxTransitions,
+) -> (SegmentFrames, SegmentFrames) {
+    let mut st = AssignScratch::new(nl);
+    let mut resolve =
+        |parity| assign_segment(nl, tree, adjusted, si, parity, use_stability, tr, &mut st);
+    (resolve(Parity::Even), resolve(Parity::Odd))
+}
+
+/// [`assign_segment_pair`] for one parity.
 #[allow(clippy::too_many_arguments)]
 fn assign_segment(
     nl: &Netlist,
@@ -315,7 +297,7 @@ fn assign_segment(
     use_stability: bool,
     tr: &MaxTransitions,
     scratch: &mut AssignScratch,
-) -> (Option<Frame>, Vec<Frame>) {
+) -> SegmentFrames {
     let seg = &tree.segments()[si];
     // Boundary-previous frame: the parent's (adjusted) last frame.
     let mut boundary = seg
@@ -370,8 +352,8 @@ fn assign_segment(
 ///
 /// The assignment depends on the library only through the
 /// [`MaxTransitions`] table, which is shared by every voltage derate of a
-/// base library. An operating-point sweep therefore resolves the tree's
-/// Xs **once per base library** and reuses the frames for every corner;
+/// base library. Algorithm 2 therefore resolves each segment's Xs **once
+/// per base library** and reuses the frames for every derate of it;
 /// frames are exact logic values, so the reuse cannot perturb a single
 /// bit downstream.
 #[derive(Debug, Clone)]
@@ -382,9 +364,10 @@ pub struct TreeAssignments {
     pub odd: ParityAssignment,
 }
 
-/// Resolves both parity assignments over precomputed adjusted frames and
-/// a precomputed max-transitions table (the per-base-library stage of a
-/// sweep; see [`TreeAssignments`]).
+/// Resolves both parity assignments of the whole tree over precomputed
+/// adjusted frames and a precomputed max-transitions table: a loop of
+/// the per-segment assignment kernel of [`crate::sweep::bound_tree`] over
+/// the segments (see [`TreeAssignments`]).
 pub fn assign_tree(
     nl: &Netlist,
     tree: &ExecutionTree,
@@ -392,16 +375,18 @@ pub fn assign_tree(
     use_stability: bool,
     tr: &MaxTransitions,
 ) -> TreeAssignments {
-    let mut st = AssignScratch::new(nl);
-    let mut resolve = |parity| ParityAssignment {
-        parity,
-        segments: (0..tree.segments().len())
-            .map(|si| assign_segment(nl, tree, adjusted, si, parity, use_stability, tr, &mut st))
-            .collect(),
-    };
+    let (even, odd) = (0..tree.segments().len())
+        .map(|si| assign_segment_pair(nl, tree, adjusted, si, use_stability, tr))
+        .unzip();
     TreeAssignments {
-        even: resolve(Parity::Even),
-        odd: resolve(Parity::Odd),
+        even: ParityAssignment {
+            parity: Parity::Even,
+            segments: even,
+        },
+        odd: ParityAssignment {
+            parity: Parity::Odd,
+            segments: odd,
+        },
     }
 }
 
@@ -409,7 +394,7 @@ pub fn assign_tree(
 /// stage of Algorithm 2, stopped before the clock enters.
 ///
 /// Transition energies depend on the (possibly derated) library but not
-/// on the clock ([`EnergyTrace`]); a sweep runs this once per distinct
+/// on the clock ([`EnergyTrace`]); Algorithm 2 runs this once per distinct
 /// library and converts per corner via [`compose_peak_power`].
 #[derive(Debug, Clone)]
 pub struct TreeEnergyTraces {
@@ -419,35 +404,45 @@ pub struct TreeEnergyTraces {
     pub odd: Vec<EnergyTrace>,
 }
 
-/// Power-analyzes both assignments into per-segment energy traces under
-/// `analyzer`'s library (the per-library stage of a sweep; `analyzer`'s
-/// clock is not read — see [`TreeEnergyTraces`]).
+/// Power-analyzes one segment's even and odd assignments into energy
+/// traces under `analyzer`'s library — the per-segment energy kernel
+/// shared by [`analyze_tree_energy`] and the streamed
+/// [`crate::sweep::bound_tree`]. `analyzer`'s clock is not read.
+pub(crate) fn analyze_segment_energy(
+    analyzer: &PowerAnalyzer,
+    even: &SegmentFrames,
+    odd: &SegmentFrames,
+) -> (EnergyTrace, EnergyTrace) {
+    let energy = |(boundary, frames): &SegmentFrames| {
+        analyzer.analyze_energy_with_boundary(boundary.as_ref(), frames)
+    };
+    (energy(even), energy(odd))
+}
+
+/// Power-analyzes both assignments of the whole tree into per-segment
+/// energy traces under `analyzer`'s library: a loop of the per-segment
+/// energy kernel of [`crate::sweep::bound_tree`] (`analyzer`'s clock is
+/// not read — see [`TreeEnergyTraces`]).
 pub fn analyze_tree_energy(
     analyzer: &PowerAnalyzer,
     assignments: &TreeAssignments,
 ) -> TreeEnergyTraces {
-    let energy = |asg: &ParityAssignment| {
-        asg.segments
-            .iter()
-            .map(|(boundary, frames)| {
-                analyzer.analyze_energy_with_boundary(boundary.as_ref(), frames)
-            })
-            .collect()
-    };
-    TreeEnergyTraces {
-        even: energy(&assignments.even),
-        odd: energy(&assignments.odd),
-    }
+    let (even, odd) = assignments
+        .even
+        .segments
+        .iter()
+        .zip(&assignments.odd.segments)
+        .map(|(e, o)| analyze_segment_energy(analyzer, e, o))
+        .unzip();
+    TreeEnergyTraces { even, odd }
 }
 
-/// Converts shared energy traces at `analyzer`'s clock and composes the
-/// peak-power bound — the per-corner stage of a sweep.
+/// Converts energy traces at `analyzer`'s clock and composes the
+/// peak-power bound — the per-corner stage of Algorithm 2.
 ///
-/// Bit-identical to [`compute_peak_power_shared`] over the same
-/// assignments with `analyzer`'s library and clock: the conversion
-/// replays the exact float operations of the analyzer's own finish step
-/// ([`EnergyTrace::to_power_trace`]), and the composition below is the
-/// same code both paths run.
+/// The conversion replays the exact float operations of the analyzer's
+/// own finish step ([`EnergyTrace::to_power_trace`]), so the bound is
+/// bit-identical to composing traces analyzed directly at that clock.
 pub fn compose_peak_power(
     tree: &ExecutionTree,
     analyzer: &PowerAnalyzer,
@@ -458,142 +453,7 @@ pub fn compose_peak_power(
     compose_bound(tree, convert(&energy.even), convert(&energy.odd))
 }
 
-/// Runs Algorithm 2 end-to-end: even/odd assignment, power analysis of
-/// both, and interleaving into the peak-power bound.
-pub fn compute_peak_power(
-    nl: &Netlist,
-    lib: &CellLibrary,
-    clock_hz: f64,
-    tree: &ExecutionTree,
-) -> PeakPowerResult {
-    compute_peak_power_opts(nl, lib, clock_hz, tree, true)
-}
-
-/// [`compute_peak_power`] with the stability analysis optionally disabled
-/// (ablation knob; `use_stability = false` is the paper's literal
-/// Algorithm 2 without the structural-stability refinement).
-pub fn compute_peak_power_opts(
-    nl: &Netlist,
-    lib: &CellLibrary,
-    clock_hz: f64,
-    tree: &ExecutionTree,
-    use_stability: bool,
-) -> PeakPowerResult {
-    compute_peak_power_cached(nl, lib, clock_hz, tree, use_stability, None)
-}
-
-/// [`compute_peak_power_opts`] with an optional **segment-power
-/// composition cache** (incremental re-analysis). Each segment's pair of
-/// parity traces is a pure function of `(context, start-cycle parity,
-/// boundary frame, adjusted frames)`; on a warm re-analysis the traces of
-/// unperturbed segments are replayed from the cache (after exact-equality
-/// verification of that whole key) instead of re-running the stability /
-/// X-assignment / power-analysis kernels. The composed bound is
-/// recomputed from the traces either way, so the result is byte-identical
-/// with or without a cache — see `crates/core/tests/incremental.rs`.
-pub fn compute_peak_power_cached(
-    nl: &Netlist,
-    lib: &CellLibrary,
-    clock_hz: f64,
-    tree: &ExecutionTree,
-    use_stability: bool,
-    cache: Option<(&crate::memo::SegmentPowerCache, u64)>,
-) -> PeakPowerResult {
-    let adjusted = merge_adjusted_frames(tree);
-    let tr = MaxTransitions::build(nl, lib);
-    compute_peak_power_shared(
-        nl,
-        lib,
-        clock_hz,
-        tree,
-        use_stability,
-        &tr,
-        &adjusted,
-        cache,
-    )
-}
-
-/// [`compute_peak_power_cached`] over a **precomputed** max-transitions
-/// table and merge-adjusted frames — the per-corner kernel of an
-/// operating-point sweep ([`crate::sweep`]).
-///
-/// Both precomputed inputs are corner-invariant: the adjusted frames
-/// depend only on the execution tree, and the table only on the library's
-/// per-cell energy *ordering* (preserved by voltage derating). A sweep
-/// therefore computes each once and fans this function out per corner;
-/// the single-corner entry points above delegate here after computing the
-/// same values, so the result is byte-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_peak_power_shared(
-    nl: &Netlist,
-    lib: &CellLibrary,
-    clock_hz: f64,
-    tree: &ExecutionTree,
-    use_stability: bool,
-    tr: &MaxTransitions,
-    adjusted: &[Vec<Frame>],
-    cache: Option<(&crate::memo::SegmentPowerCache, u64)>,
-) -> PeakPowerResult {
-    let _span = xbound_obs::trace::span_args("peak_power_compose", || {
-        vec![
-            ("library".to_string(), lib.name().to_string()),
-            ("clock_hz".to_string(), format!("{clock_hz}")),
-            ("segments".to_string(), tree.segments().len().to_string()),
-        ]
-    });
-    let analyzer = PowerAnalyzer::new(nl, lib, clock_hz);
-    let mut scratch = AssignScratch::new(nl);
-    // `use_stability` is result-relevant: fold it into the cache context so
-    // the ablation path can never stitch stability-refined traces.
-    let cache = cache.map(|(c, ctx)| (c, ctx ^ if use_stability { 0 } else { 0x5354_4142 }));
-
-    let mut even_traces = Vec::with_capacity(tree.segments().len());
-    let mut odd_traces = Vec::with_capacity(tree.segments().len());
-    for (si, seg) in tree.segments().iter().enumerate() {
-        let boundary = seg.parent.and_then(|(pid, _)| adjusted[pid.index()].last());
-        let odd_start = seg.start_cycle % 2 == 1;
-        if let Some((c, ctx)) = cache {
-            if let Some((e, o)) = c.lookup(ctx, odd_start, boundary, &adjusted[si]) {
-                even_traces.push(e);
-                odd_traces.push(o);
-                continue;
-            }
-        }
-        let ev = assign_segment(
-            nl,
-            tree,
-            adjusted,
-            si,
-            Parity::Even,
-            use_stability,
-            tr,
-            &mut scratch,
-        );
-        let od = assign_segment(
-            nl,
-            tree,
-            adjusted,
-            si,
-            Parity::Odd,
-            use_stability,
-            tr,
-            &mut scratch,
-        );
-        let et = analyzer.analyze_with_boundary(ev.0.as_ref(), &ev.1);
-        let ot = analyzer.analyze_with_boundary(od.0.as_ref(), &od.1);
-        if let Some((c, ctx)) = cache {
-            c.record(ctx, odd_start, boundary, &adjusted[si], &et, &ot);
-        }
-        even_traces.push(et);
-        odd_traces.push(ot);
-    }
-    compose_bound(tree, even_traces, odd_traces)
-}
-
-/// Interleaves per-segment even/odd traces into the peak-power bound —
-/// the one composition loop shared by every Algorithm 2 entry point
-/// (single-corner, cached, and sweep), which is what keeps their results
-/// byte-identical.
+/// Interleaves per-segment even/odd traces into the peak-power bound.
 fn compose_bound(
     tree: &ExecutionTree,
     even_traces: Vec<PowerTrace>,
@@ -790,8 +650,10 @@ mod tests {
             vec![Zero; n],
         ];
         let tree = single_segment_tree(&nl, &rows);
-        for parity in [Parity::Even, Parity::Odd] {
-            let asg = assign_parity(&nl, &lib, &tree, parity);
+        let tr = MaxTransitions::build(&nl, &lib);
+        let both = assign_tree(&nl, &tree, &merge_adjusted_frames(&tree), true, &tr);
+        for asg in [&both.even, &both.odd] {
+            let parity = asg.parity;
             let (_, frames) = &asg.segments[0];
             // No X left anywhere.
             for (c, f) in frames.iter().enumerate() {
@@ -829,7 +691,8 @@ mod tests {
         let n = nl.net_count();
         let rows = vec![vec![X; n], vec![X; n]];
         let tree = single_segment_tree(&nl, &rows);
-        let asg = assign_parity(&nl, &lib, &tree, Parity::Odd);
+        let tr = MaxTransitions::build(&nl, &lib);
+        let asg = assign_tree(&nl, &tree, &merge_adjusted_frames(&tree), true, &tr).odd;
         let (_, frames) = &asg.segments[0];
         for i in 0..n {
             if let Some(g) = nl.driver_of(xbound_netlist::NetId(i as u32)) {
@@ -948,8 +811,13 @@ mod tests {
         let rows = vec![vec![Zero; n]; 4];
         let tree = single_segment_tree(&nl, &rows);
         let lib = xbound_cells::CellLibrary::ulp65();
-        let peak = compute_peak_power(&nl, &lib, 1.0e6, &tree);
-        let e = compute_peak_energy(&tree, &peak, 1.0e6, 100);
+        let spec = crate::SweepSpec::new(vec![crate::Corner::nominal(lib, 1.0e6)]);
+        let bound = crate::bound_tree(&nl, &tree, &spec, true, 100, 1, None, |_, b| b);
+        let e = compute_peak_energy(&tree, &bound[0].peak, 1.0e6, 100);
+        assert_eq!(
+            e, bound[0].energy,
+            "bound_tree runs the same value iteration"
+        );
         assert!(e.converged, "single segment converges");
         assert_eq!(e.cycles, 4);
         // All-zero frames: energy is the per-cycle floor times 4 cycles.

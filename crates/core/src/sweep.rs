@@ -1,51 +1,59 @@
-//! Operating-point sweeps: explore once, bound every corner.
+//! Operating-point sweeps: explore once, bound every corner — and the
+//! one implementation of Algorithm 2 that every analysis runs.
 //!
 //! A peak-power/energy bound is per *(application, core, library, clock,
 //! voltage)* — but Algorithm 1 (symbolic exploration) never reads the
 //! library, clock, or voltage. The execution tree depends only on the
 //! program and the netlist; the operating point enters solely at
-//! Algorithm 2 ([`peak_power::compute_peak_power_shared`]) and the
-//! peak-energy value iteration (where the clock sets the period). A
-//! bound-vs-operating-point curve over N corners therefore costs ~1
-//! exploration plus N cheap composition passes, not N full analyses.
+//! Algorithm 2 ([`bound_tree`]) and the peak-energy value iteration
+//! (where the clock sets the period). A bound-vs-operating-point curve
+//! over N corners therefore costs ~1 exploration plus N cheap
+//! composition passes, not N full analyses.
 //!
-//! [`run_sweep`] is that amortization, staged by how far each
-//! intermediate is corner-invariant:
+//! [`bound_tree`] is Algorithm 2 for a list of corners; a single-corner
+//! [`crate::CoAnalysis`] is a one-corner sweep through it. It shares
+//! work by how far each intermediate is corner-invariant:
 //!
-//! * **once per sweep** — the execution tree, its deterministic
-//!   [`ExploreStats`], and the merge-adjusted frames (pure functions of
-//!   the program and netlist);
-//! * **once per base library** — the max-transitions table and the
-//!   even/odd X-**assignment** of the whole tree: a voltage derate
-//!   scales rise and fall energies by the same `(V/Vnom)²` factor, so
-//!   it can never flip a cell's max-energy transition direction (see
-//!   [`CellLibrary::derated`]), and the assignment reads the library
-//!   only through that table;
-//! * **once per derated library** — the gate-level **energy traces**
-//!   ([`peak_power::analyze_tree_energy`]): transition energies never
-//!   read the clock, so corners differing only in clock share them.
+//! * **once per tree** — the merge-adjusted frames (pure functions of the
+//!   program and netlist);
+//! * **once per (segment, base library)** — the segment's even/odd
+//!   X-**assignment**: a voltage derate scales rise and fall energies by
+//!   the same `(V/Vnom)²` factor, so it can never flip a cell's
+//!   max-energy transition direction (see [`CellLibrary::derated`]), and
+//!   the assignment reads the library only through the
+//!   [`MaxTransitions`] table built once per base;
+//! * **once per (segment, derated library)** — the gate-level **energy
+//!   traces**: transition energies never read the clock, so corners
+//!   differing only in clock share them.
 //!
-//! Per corner, all that remains is the exact femtojoule→milliwatt
-//! conversion at that corner's clock, the bound composition, and the
-//! peak-energy value iteration. Every stage fans out over the shared
-//! [`par`] worker pool.
+//! The (segment, base library) pairs stream through the [`par`] worker
+//! pool: each pair's assigned frames are dropped as soon as its energy
+//! traces exist, so no whole-tree assignment is ever resident. Per
+//! corner, all that remains is the exact femtojoule→milliwatt conversion
+//! at that corner's clock, the bound composition, and the peak-energy
+//! value iteration.
 //!
-//! **Byte-identity contract.** Every corner's [`BoundsReport`] is
-//! byte-identical to an independent single-corner [`crate::CoAnalysis`]
-//! run of the same program on a [`crate::UlpSystem`] built from that
-//! corner's `(library(), clock_hz)` — at any `(threads, lanes)` setting.
-//! The single-corner entry points compute exactly the shared values this
-//! module precomputes, so the numeric path is the same code either way
+//! **Byte-identity contract.** Every corner's [`BoundsReport`] from
+//! [`run_sweep`] is byte-identical to an independent single-corner
+//! [`crate::CoAnalysis`] run of the same program on a [`crate::UlpSystem`]
+//! built from that corner's `(library(), clock_hz)` — at any `(threads,
+//! lanes)` setting. Both run [`bound_tree`], and no corner's numbers
+//! depend on which other corners share its work
 //! (`crates/core/tests/sweep_differential.rs` pins this).
 
 use crate::activity::{ExploreConfig, ExploreStats, SymbolicExplorer};
-use crate::peak_power::{self, MaxTransitions, TreeAssignments, TreeEnergyTraces};
+use crate::memo::{PowerKey, SegmentPowerCache};
+use crate::peak_power::{
+    self, MaxTransitions, PeakEnergyResult, PeakPowerResult, TreeEnergyTraces,
+};
 use crate::summary::BoundsReport;
+use crate::tree::ExecutionTree;
 use crate::{par, AnalysisError};
 use std::time::Instant;
 use xbound_cells::CellLibrary;
 use xbound_cpu::Cpu;
 use xbound_msp430::Program;
+use xbound_netlist::Netlist;
 use xbound_obs::{metrics, trace};
 use xbound_power::PowerAnalyzer;
 
@@ -189,7 +197,7 @@ impl SweepSpec {
     }
 }
 
-/// Sweep telemetry: how much work the corner fan-out reused.
+/// Sweep telemetry: how much work the corners shared.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepStats {
     /// Corners answered.
@@ -197,8 +205,8 @@ pub struct SweepStats {
     /// Corners that reused the shared exploration instead of exploring
     /// themselves — every corner after the first, per sweep.
     pub tree_reuse_hits: u64,
-    /// Max-transitions tables built — and with each, one shared even/odd
-    /// X-assignment of the whole tree (one per distinct base library).
+    /// Max-transitions tables built — and with each, one even/odd
+    /// X-assignment per segment (one per distinct base library).
     pub tables_built: u64,
     /// Gate-level energy-trace sets built (one per distinct derated
     /// library; corners differing only in clock share one).
@@ -219,9 +227,201 @@ pub struct CornerResult {
     /// Canonical bounds — byte-identical (via
     /// [`BoundsReport::to_json`]) to a direct single-corner run.
     pub report: BoundsReport,
-    /// Wall-clock of this corner's Algorithm 2 + peak-energy passes,
-    /// seconds (excludes the shared exploration).
+    /// Wall-clock of this corner's own passes, seconds (see
+    /// [`CornerBound::seconds`]).
     pub seconds: f64,
+}
+
+/// One corner's Algorithm 2 and peak-energy result (see [`bound_tree`]).
+#[derive(Debug, Clone)]
+pub struct CornerBound {
+    /// The peak-power bound.
+    pub peak: PeakPowerResult,
+    /// The peak-energy bound.
+    pub energy: PeakEnergyResult,
+    /// Wall-clock of this corner's own passes — trace conversion, bound
+    /// composition and peak energy — seconds. Excludes the assignment
+    /// and energy analysis it shares with other corners.
+    pub seconds: f64,
+}
+
+/// How a spec's corners share Algorithm 2 work: the distinct base
+/// libraries (one max-transitions table and one assignment per segment
+/// each; derates share their base's table, and the assignment reads the
+/// library only through it), the distinct derated libraries with the
+/// index of their base (one energy-trace set each: transition energies
+/// never read the clock), and each corner's derated-library index.
+struct Groups<'s> {
+    bases: Vec<&'s CellLibrary>,
+    libs: Vec<(CellLibrary, usize)>,
+    lib_of: Vec<usize>,
+}
+
+impl<'s> Groups<'s> {
+    fn of(spec: &'s SweepSpec) -> Groups<'s> {
+        let mut bases: Vec<&CellLibrary> = Vec::new();
+        let mut libs: Vec<(CellLibrary, usize)> = Vec::new();
+        let mut lib_of = Vec::with_capacity(spec.corners().len());
+        for c in spec.corners() {
+            let base = match bases.iter().position(|b| b.name() == c.base().name()) {
+                Some(i) => i,
+                None => {
+                    bases.push(c.base());
+                    bases.len() - 1
+                }
+            };
+            let lib = c.library();
+            let slot = match libs.iter().position(|(l, _)| l.name() == lib.name()) {
+                Some(i) => i,
+                None => {
+                    libs.push((lib, base));
+                    libs.len() - 1
+                }
+            };
+            lib_of.push(slot);
+        }
+        Groups {
+            bases,
+            libs,
+            lib_of,
+        }
+    }
+}
+
+/// Algorithm 2 and the peak-energy pass for every corner of `spec` over
+/// one explored `tree` — the single implementation behind both
+/// [`crate::CoAnalysis::run`] (a one-corner spec) and [`run_sweep`].
+/// Results are in spec order.
+///
+/// The work streams per *(segment, base library)* pair, fanned out over
+/// `threads` workers (`0` = auto, see [`par::resolve_threads`]) in index
+/// order. Each pair assigns the segment's even and odd frames once,
+/// analyzes them into clock-free [`xbound_power::EnergyTrace`]s under
+/// each derated library of that base, and drops the frames. Fanning out
+/// pairs rather than segments keeps every worker busy on single-segment
+/// programs too. Per corner, the traces of its library are converted at
+/// its clock and composed into the bound
+/// ([`peak_power::compose_peak_power`]), then the peak energy follows
+/// ([`peak_power::compute_peak_energy`]).
+///
+/// Each corner's [`CornerBound`] goes to `finish(corner index, bound)`
+/// as soon as it exists, and only what `finish` returns is kept, so a
+/// sweep that needs one [`BoundsReport`] per corner never holds every
+/// corner's per-cycle traces at once.
+///
+/// With a `cache`, each (segment, derated library) trace pair is looked
+/// up before it is computed and recorded after; a hit is bit-identical
+/// to the recomputation, so the result never depends on the cache.
+/// `use_stability = false` is the ablation of the stability refinement
+/// (the paper's literal maximizing assignment).
+#[allow(clippy::too_many_arguments)]
+pub fn bound_tree<R: Send>(
+    nl: &Netlist,
+    tree: &ExecutionTree,
+    spec: &SweepSpec,
+    use_stability: bool,
+    energy_rounds: u64,
+    threads: usize,
+    cache: Option<&SegmentPowerCache>,
+    finish: impl Fn(usize, CornerBound) -> R + Sync,
+) -> Vec<R> {
+    let _span = trace::span_args("peak_power_compose", || {
+        vec![
+            ("corners".to_string(), spec.corners().len().to_string()),
+            ("segments".to_string(), tree.segments().len().to_string()),
+        ]
+    });
+    let groups = Groups::of(spec);
+    let adjusted = peak_power::merge_adjusted_frames(tree);
+    let tables: Vec<MaxTransitions> = groups
+        .bases
+        .iter()
+        .map(|base| MaxTransitions::build(nl, base))
+        .collect();
+    // Any positive clock works: the energy stage never reads it.
+    let analyzers: Vec<PowerAnalyzer> = groups
+        .libs
+        .iter()
+        .map(|(lib, _)| PowerAnalyzer::new(nl, lib, 1.0))
+        .collect();
+    let pairs: Vec<(usize, usize)> = (0..tree.segments().len())
+        .flat_map(|si| (0..tables.len()).map(move |b| (si, b)))
+        .collect();
+    // Per pair: the segment's (even, odd) energy traces under each derated
+    // library of the pair's base, tagged with the library's index.
+    let pair_traces = par::par_map(threads, pairs, |_, (si, b)| {
+        let seg = &tree.segments()[si];
+        let boundary = seg.parent.and_then(|(pid, _)| adjusted[pid.index()].last());
+        let odd_start = seg.start_cycle % 2 == 1;
+        let mut assigned = None;
+        let mut out = Vec::new();
+        for (l, (lib, _)) in groups.libs.iter().enumerate().filter(|(_, lib)| lib.1 == b) {
+            let key = cache.map(|_| {
+                PowerKey::new(
+                    lib.name(),
+                    use_stability,
+                    odd_start,
+                    boundary,
+                    &adjusted[si],
+                )
+            });
+            let traces = match cache.zip(key.as_ref()).and_then(|(c, k)| c.lookup(k)) {
+                Some(hit) => hit,
+                None => {
+                    let (even, odd) = assigned.get_or_insert_with(|| {
+                        peak_power::assign_segment_pair(
+                            nl,
+                            tree,
+                            &adjusted,
+                            si,
+                            use_stability,
+                            &tables[b],
+                        )
+                    });
+                    let traces = peak_power::analyze_segment_energy(&analyzers[l], even, odd);
+                    if let (Some(c), Some(k)) = (cache, key) {
+                        c.record(k, &traces.0, &traces.1);
+                    }
+                    traces
+                }
+            };
+            out.push((l, traces));
+        }
+        out
+    });
+    // The per-corner stage reads only the energy traces.
+    drop(adjusted);
+    let mut sets: Vec<TreeEnergyTraces> = analyzers
+        .iter()
+        .map(|_| TreeEnergyTraces {
+            even: Vec::with_capacity(tree.segments().len()),
+            odd: Vec::with_capacity(tree.segments().len()),
+        })
+        .collect();
+    for (l, (even, odd)) in pair_traces.into_iter().flatten() {
+        sets[l].even.push(even);
+        sets[l].odd.push(odd);
+    }
+    par::par_map(
+        threads,
+        spec.corners().iter().zip(&groups.lib_of).collect(),
+        |i, (corner, &l)| {
+            let _span = trace::span_args("sweep_corner", || {
+                vec![("corner".to_string(), corner.label())]
+            });
+            let t0 = Instant::now();
+            let analyzer = PowerAnalyzer::new(nl, &groups.libs[l].0, corner.clock_hz());
+            let peak = peak_power::compose_peak_power(tree, &analyzer, &sets[l]);
+            let energy =
+                peak_power::compute_peak_energy(tree, &peak, corner.clock_hz(), energy_rounds);
+            let bound = CornerBound {
+                peak,
+                energy,
+                seconds: t0.elapsed().as_secs_f64(),
+            };
+            finish(i, bound)
+        },
+    )
 }
 
 /// The result of one sweep: per-corner bounds in spec order, the shared
@@ -236,14 +436,15 @@ pub struct SweepAnalysis {
     pub stats: SweepStats,
 }
 
-/// Runs one sweep: explores `program` once on `cpu`, then fans the
-/// per-corner power-composition and peak-energy passes of `spec` over
-/// `threads` workers (`0` = auto via [`par::resolve_threads`]).
+/// Runs one sweep: explores `program` once on `cpu`, then bounds every
+/// corner of `spec` from the shared tree through [`bound_tree`], whose
+/// (segment, base library) fan-out runs on `threads` workers (`0` = auto
+/// via [`par::resolve_threads`]).
 ///
 /// `config.threads`/`config.lanes` govern the shared exploration exactly
-/// as in [`crate::CoAnalysis`]; `threads` governs only the corner
-/// fan-out. Callers already running inside a worker pool should pass
-/// `threads = 1` ("one layer of parallelism at a time").
+/// as in [`crate::CoAnalysis`]; `threads` governs only Algorithm 2.
+/// Callers already running inside a worker pool should pass `threads = 1`
+/// ("one layer of parallelism at a time").
 ///
 /// # Errors
 ///
@@ -263,97 +464,27 @@ pub fn run_sweep(
     let t_explore = Instant::now();
     let (tree, explore) = SymbolicExplorer::new(cpu, config).explore(program)?;
     let explore_seconds = t_explore.elapsed().as_secs_f64();
-    let nl = cpu.netlist();
-    // Corner-invariant precomputation, shared by every corner below.
-    let adjusted = peak_power::merge_adjusted_frames(&tree);
-    // Group corners by base library (one max-transitions table + one
-    // even/odd X-assignment each: derates share their base's table, and
-    // the assignment reads the library only through the table) and by
-    // derated library (one gate-level energy-trace set each: transition
-    // energies never read the clock).
-    let mut base_of: Vec<usize> = Vec::with_capacity(spec.corners().len());
-    let mut base_names: Vec<&str> = Vec::new();
-    let mut lib_of: Vec<usize> = Vec::with_capacity(spec.corners().len());
-    let mut libs: Vec<(CellLibrary, usize)> = Vec::new();
-    for c in spec.corners() {
-        let base = match base_names.iter().position(|n| *n == c.base().name()) {
-            Some(i) => i,
-            None => {
-                base_names.push(c.base().name());
-                base_names.len() - 1
-            }
-        };
-        base_of.push(base);
-        let lib = c.library();
-        let slot = match libs.iter().position(|(l, _)| l.name() == lib.name()) {
-            Some(i) => i,
-            None => {
-                libs.push((lib, base));
-                libs.len() - 1
-            }
-        };
-        lib_of.push(slot);
-    }
-    // Stage 1, per base library: max-transitions table + tree assignment.
-    let assignments: Vec<(MaxTransitions, TreeAssignments)> = par::par_map_labeled(
+    let corners = bound_tree(
+        cpu.netlist(),
+        &tree,
+        spec,
+        true,
+        energy_rounds,
         threads,
-        (0..base_names.len()).collect::<Vec<_>>(),
-        |_, i| format!("assign:{}", base_names[*i]),
-        |_, i| {
-            let base =
-                spec.corners()[base_of.iter().position(|&b| b == i).expect("base in use")].base();
-            let _span = trace::span_args("sweep_assign", || {
-                vec![("base".to_string(), base.name().to_string())]
-            });
-            let tr = MaxTransitions::build(nl, base);
-            let asg = peak_power::assign_tree(nl, &tree, &adjusted, true, &tr);
-            (tr, asg)
+        None,
+        |i, b| CornerResult {
+            corner: spec.corners()[i].clone(),
+            report: BoundsReport::from_parts(&tree, &explore, &b.peak, &b.energy),
+            seconds: b.seconds,
         },
     );
-    // Stage 2, per derated library: clock-independent energy traces.
-    let trace_sets: Vec<TreeEnergyTraces> = par::par_map_labeled(
-        threads,
-        (0..libs.len()).collect::<Vec<_>>(),
-        |_, i| format!("analyze:{}", libs[*i].0.name()),
-        |_, i| {
-            let (lib, base) = &libs[i];
-            let _span = trace::span_args("sweep_energy_traces", || {
-                vec![("library".to_string(), lib.name().to_string())]
-            });
-            // Any positive clock works: the energy stage never reads it.
-            let analyzer = PowerAnalyzer::new(nl, lib, 1.0);
-            peak_power::analyze_tree_energy(&analyzer, &assignments[*base].1)
-        },
-    );
-    // Stage 3, per corner: exact fJ→mW conversion, bound composition,
-    // peak-energy value iteration.
-    let corners = par::par_map_labeled(
-        threads,
-        (0..spec.corners().len()).collect::<Vec<_>>(),
-        |_, i| spec.corners()[*i].label(),
-        |_, i| {
-            let corner = &spec.corners()[i];
-            let _span = trace::span_args("sweep_corner", || {
-                vec![("corner".to_string(), corner.label())]
-            });
-            let t0 = Instant::now();
-            let analyzer = PowerAnalyzer::new(nl, &libs[lib_of[i]].0, corner.clock_hz());
-            let peak = peak_power::compose_peak_power(&tree, &analyzer, &trace_sets[lib_of[i]]);
-            let energy =
-                peak_power::compute_peak_energy(&tree, &peak, corner.clock_hz(), energy_rounds);
-            CornerResult {
-                corner: corner.clone(),
-                report: BoundsReport::from_parts(&tree, &explore, &peak, &energy),
-                seconds: t0.elapsed().as_secs_f64(),
-            }
-        },
-    );
+    let groups = Groups::of(spec);
     let stats = SweepStats {
         corners: corners.len() as u64,
         tree_reuse_hits: corners.len().saturating_sub(1) as u64,
-        tables_built: assignments.len() as u64,
-        trace_sets_built: trace_sets.len() as u64,
-        trace_reuse_hits: (corners.len() - trace_sets.len()) as u64,
+        tables_built: groups.bases.len() as u64,
+        trace_sets_built: groups.libs.len() as u64,
+        trace_reuse_hits: (corners.len() - groups.libs.len()) as u64,
         explore_seconds,
     };
     // Mirror the reuse tiers into the global registry (once per sweep).

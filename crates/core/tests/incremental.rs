@@ -9,8 +9,9 @@
 //! changes stay warm, everything in the context hash goes cold.
 
 use std::sync::Arc;
+use xbound_cells::CellLibrary;
 use xbound_core::memo::SubtreeMemo;
-use xbound_core::{Analysis, CoAnalysis, ExploreConfig, UlpSystem};
+use xbound_core::{Analysis, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem};
 use xbound_msp430::{assemble, Program};
 
 fn system() -> UlpSystem {
@@ -122,6 +123,42 @@ fn warm_reanalysis_is_byte_identical_and_fully_stitched() {
         "an unchanged program re-simulates nothing"
     );
     assert_eq!(fingerprint(&cold), fingerprint(&warm));
+}
+
+#[test]
+fn power_cache_replays_traces_at_another_clock() {
+    // The segment-power cache stores clock-free energy traces and keeps
+    // the clock out of its key, so a re-analysis at another clock replays
+    // them even though the subtree memo (whose context holds the clock)
+    // re-explores.
+    let cpu = system().cpu().clone();
+    let fast = UlpSystem::new(cpu.clone(), CellLibrary::ulp65(), 100.0e6);
+    let slow = UlpSystem::new(cpu, CellLibrary::ulp65(), 50.0e6);
+    let p = two_arm_program(100);
+    let memo = Arc::new(SubtreeMemo::in_memory());
+    let seeded = CoAnalysis::new(&fast)
+        .memo(Some(memo.clone()))
+        .run(&p)
+        .expect("100 MHz run");
+    assert!(seeded.stats().forks > 0, "the program must fork");
+    let before = memo.stats();
+    let warm = CoAnalysis::new(&slow)
+        .memo(Some(memo.clone()))
+        .run(&p)
+        .expect("50 MHz run on the same memo");
+    let after = memo.stats();
+    assert!(
+        after.power_hits > before.power_hits,
+        "the 50 MHz run replays the 100 MHz traces ({before:?} -> {after:?})"
+    );
+    let cold = CoAnalysis::new(&slow)
+        .run(&p)
+        .expect("memo-less 50 MHz run");
+    assert_eq!(
+        BoundsReport::from_analysis(&warm).to_json(),
+        BoundsReport::from_analysis(&cold).to_json()
+    );
+    assert_eq!(fingerprint(&warm), fingerprint(&cold));
 }
 
 #[test]

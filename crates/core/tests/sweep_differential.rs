@@ -6,8 +6,9 @@
 //! content-addressed cache entries compose interchangeably.
 
 use xbound_cells::CellLibrary;
-use xbound_core::sweep::{run_sweep, Corner, SweepSpec};
-use xbound_core::{BoundsReport, CoAnalysis, ExploreConfig, UlpSystem};
+use xbound_core::memo::SubtreeMemo;
+use xbound_core::sweep::{bound_tree, run_sweep, Corner, SweepSpec};
+use xbound_core::{BoundsReport, CoAnalysis, ExploreConfig, SymbolicExplorer, UlpSystem};
 use xbound_msp430::assemble;
 
 const ENERGY_ROUNDS: u64 = 2_000;
@@ -147,4 +148,39 @@ fn derated_corners_bound_below_nominal_at_equal_clock() {
     assert_eq!(derated.segments, nominal.segments);
     assert_eq!(derated.cycles, nominal.cycles);
     assert_eq!(derated.peak_cycle, nominal.peak_cycle);
+}
+
+#[test]
+fn a_shared_power_cache_never_changes_corner_bytes() {
+    let program = forked_program();
+    let spec = spec();
+    let sys = UlpSystem::openmsp430_class().expect("system");
+    let (tree, explore) = SymbolicExplorer::new(sys.cpu(), ExploreConfig::suite_default())
+        .explore(&program)
+        .expect("explores");
+    let reports = |spec: &SweepSpec, memo: Option<&SubtreeMemo>| {
+        let cache = memo.map(SubtreeMemo::power);
+        bound_tree(
+            sys.cpu().netlist(),
+            &tree,
+            spec,
+            true,
+            ENERGY_ROUNDS,
+            2,
+            cache,
+            |_, b| BoundsReport::from_parts(&tree, &explore, &b.peak, &b.energy).to_json(),
+        )
+    };
+    let plain = reports(&spec, None);
+    // Seed only the first corner's library, so the full spec then mixes
+    // hits (ulp65) and misses (its derate, ulp130) inside one base.
+    let memo = SubtreeMemo::in_memory();
+    reports(&SweepSpec::new(spec.corners()[..1].to_vec()), Some(&memo));
+    let seeded = memo.stats();
+    assert_eq!(reports(&spec, Some(&memo)), plain, "partly warm cache");
+    let mixed = memo.stats();
+    assert!(mixed.power_hits > seeded.power_hits, "{mixed:?}");
+    assert!(mixed.power_misses > seeded.power_misses, "{mixed:?}");
+    assert_eq!(reports(&spec, Some(&memo)), plain, "fully warm cache");
+    assert_eq!(memo.stats().power_misses, mixed.power_misses);
 }

@@ -134,17 +134,6 @@ impl PowerTrace {
         self.clock_hz
     }
 
-    /// Approximate resident size of this trace in bytes — used by
-    /// byte-budgeted caches (e.g. the incremental re-analysis segment-power
-    /// cache) to account evictions. Counts the per-cycle and per-module
-    /// tables plus module-name storage; allocator overhead is ignored.
-    pub fn approx_bytes(&self) -> u64 {
-        let doubles =
-            self.per_cycle_mw.len() + self.per_module_mw.iter().map(Vec::len).sum::<usize>();
-        let names: usize = self.module_names.iter().map(String::len).sum();
-        (doubles * 8 + names) as u64 + 64
-    }
-
     /// Per-module energy at one cycle, `(module name, mW)`, descending.
     pub fn module_breakdown_at(&self, cycle: usize) -> Vec<(String, f64)> {
         let mut v: Vec<(String, f64)> = self
@@ -190,6 +179,16 @@ impl EnergyTrace {
     /// Number of cycles in the trace.
     pub fn cycles(&self) -> usize {
         self.per_cycle_fj.len()
+    }
+
+    /// Approximate resident size of this trace in bytes — used by
+    /// byte-budgeted caches (the incremental re-analysis segment-power
+    /// cache) to account evictions. Counts the per-cycle and per-module
+    /// tables; allocator overhead is ignored.
+    pub fn approx_bytes(&self) -> u64 {
+        let doubles =
+            self.per_cycle_fj.len() + self.per_module_fj.iter().map(Vec::len).sum::<usize>();
+        (doubles * 8) as u64 + 64
     }
 
     /// Converts to the [`PowerTrace`] that `analyzer` would have produced
@@ -301,31 +300,12 @@ impl<'a> PowerAnalyzer<'a> {
     ///
     /// Cycle `c`'s dynamic power counts transitions between frames `c-1` and
     /// `c` (cycle 0 has no transitions, only leakage). Per-module breakdowns
-    /// are always computed.
+    /// are always computed. This is the energy analysis
+    /// ([`PowerAnalyzer::analyze_energy_with_boundary`]) converted at this
+    /// analyzer's clock, the same two steps Algorithm 2 takes.
     pub fn analyze(&self, frames: &[Frame]) -> PowerTrace {
-        self.analyze_with_boundary(None, frames)
-    }
-
-    /// [`PowerAnalyzer::analyze`] of the logical sequence `boundary ++
-    /// frames`, without materializing the concatenation.
-    ///
-    /// Algorithm 2 analyzes every execution-tree segment prefixed by its
-    /// parent's last frame; passing the boundary by reference avoids
-    /// cloning each segment's frames twice per run.
-    ///
-    /// This is the 1-lane wrapper of the lane-wise accumulator: each
-    /// consecutive frame pair is diffed word-wise ([`Frame::for_each_diff`])
-    /// and the changed nets feed [`BatchPowerAccumulator`]'s shared
-    /// classify/accumulate kernel at lane width 1, so the scalar and
-    /// batched analyses cannot diverge.
-    pub fn analyze_with_boundary(&self, boundary: Option<&Frame>, frames: &[Frame]) -> PowerTrace {
-        let mut acc = self.batch_accumulator(1);
-        let mut prev: Option<&Frame> = None;
-        for cur in boundary.into_iter().chain(frames) {
-            acc.push_scalar_pair(prev, cur);
-            prev = Some(cur);
-        }
-        acc.finish(None).pop().expect("one lane")
+        self.analyze_energy_with_boundary(None, frames)
+            .to_power_trace(self)
     }
 
     /// Batched [`PowerAnalyzer::analyze`]: one pass over a
@@ -365,10 +345,21 @@ impl<'a> PowerAnalyzer<'a> {
         acc.finish(lane_cycles)
     }
 
-    /// [`PowerAnalyzer::analyze_with_boundary`], stopped at the
-    /// clock-independent femtojoule stage (see [`EnergyTrace`]). The full
-    /// trace is `energy.to_power_trace(analyzer)`; an operating-point
-    /// sweep accumulates once per library and converts once per clock.
+    /// The clock-independent femtojoule analysis (see [`EnergyTrace`]) of
+    /// the logical sequence `boundary ++ frames`, without materializing the
+    /// concatenation. The full trace is `energy.to_power_trace(analyzer)`;
+    /// Algorithm 2 accumulates once per library and converts once per
+    /// clock.
+    ///
+    /// Algorithm 2 analyzes every execution-tree segment prefixed by its
+    /// parent's last frame; passing the boundary by reference avoids
+    /// cloning each segment's frames twice per run.
+    ///
+    /// This is the 1-lane wrapper of the lane-wise accumulator: each
+    /// consecutive frame pair is diffed word-wise ([`Frame::for_each_diff`])
+    /// and the changed nets feed [`BatchPowerAccumulator`]'s shared
+    /// classify/accumulate kernel at lane width 1, so the scalar and
+    /// batched analyses cannot diverge.
     pub fn analyze_energy_with_boundary(
         &self,
         boundary: Option<&Frame>,

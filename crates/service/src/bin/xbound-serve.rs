@@ -18,7 +18,8 @@
 //! * `--conns N` — concurrent-connection cap (default: auto, same
 //!   resolution as `--workers`);
 //! * `--cache-capacity N` — in-memory LRU entries (default 256);
-//! * `--queue N` — bounded job-queue capacity (default 64).
+//! * `--queue N` — bounded job-queue capacity (default 64);
+//! * `-h`, `--help` — print the usage and exit.
 //!
 //! The daemon prints one readiness line to stdout
 //! (`xbound-serve listening on HOST:PORT ...`) and then serves until an
@@ -33,6 +34,24 @@ use xbound_service::{Server, ServiceConfig};
 
 /// Default TCP port (unassigned range; "x" + the paper year).
 const DEFAULT_PORT: u16 = 4517;
+
+const USAGE: &str = "\
+usage: xbound-serve [OPTIONS]
+
+Serves co-analysis requests over TCP until an `xbound-client shutdown`.
+
+options:
+  --port N             bind port (default 4517; 0 = ephemeral)
+  --host H             bind host (default 127.0.0.1)
+  --cache-dir DIR      on-disk bound-cache directory
+                       (default: XBOUND_CACHE_DIR, then <results dir>/cache)
+  --no-disk-cache      keep the bound cache in memory only
+  --workers N          analysis worker pool (default: auto)
+  --conns N            concurrent-connection cap (default: auto)
+  --cache-capacity N   in-memory LRU entries (default 256)
+  --queue N            bounded job-queue capacity (default 64)
+  -h, --help           print this help
+";
 
 fn main() {
     let trace_out = xbound_obs::trace::init_from_env();
@@ -49,6 +68,10 @@ fn main() {
             })
         };
         match a.as_str() {
+            "-h" | "--help" => {
+                print!("{USAGE}");
+                return;
+            }
             "--port" => config.port = parse(&value("--port"), "--port"),
             "--host" => config.host = value("--host"),
             "--cache-dir" => config.cache_dir = Some(value("--cache-dir").into()),

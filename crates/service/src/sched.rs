@@ -605,9 +605,10 @@ fn worker_loop(shared: &Shared) {
                 let _span = trace::span_args("sweep_job", || {
                     vec![("corners".to_string(), corners.len().to_string())]
                 });
-                // One shared exploration for every fresh corner; the
-                // corner fan-out stays serial inside a worker ("one layer
-                // of parallelism at a time", like the explore threads).
+                // One shared exploration for every fresh corner. Algorithm
+                // 2's (segment, base library) fan-out gets the explorer's
+                // thread budget: serial when several daemon workers run
+                // ("one layer of parallelism at a time"), auto otherwise.
                 let spec = SweepSpec::new(corners.iter().map(|(_, c, _)| c.clone()).collect());
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     run_sweep(
