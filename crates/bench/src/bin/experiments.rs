@@ -18,7 +18,12 @@
 //! * `--incremental` — attach a subtree memo (sets `XBOUND_MEMO=1`
 //!   unless the variable is already set): repeat runs replay memoized
 //!   execution subtrees from the shared cache directory. Results are
-//!   byte-identical with or without it.
+//!   byte-identical with or without it;
+//! * `-h`, `--help` — print the usage and the experiment ids, and exit.
+//!
+//! Bad input (an unknown option or experiment id, a missing or
+//! non-numeric value) prints a one-line error and exits with status 2
+//! before any experiment runs or the manifest is written.
 //!
 //! Each experiment prints its table and writes `results/<id>.txt`. See
 //! DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
@@ -27,6 +32,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xbound_baselines::{design_tool, stressmark, GUARDBAND};
+use xbound_bench::cli::Args;
 use xbound_bench::{emit, geomean, mw, npe, pct, Harness, Table, SEED};
 use xbound_core::optimize::{optimize_program, OptimizeOptions};
 use xbound_core::{Corner, SweepSpec, UlpSystem};
@@ -34,28 +40,46 @@ use xbound_logic::Lv;
 use xbound_msp430::assemble;
 use xbound_netlist::{CellKind, Netlist};
 
+/// The experiments `all` (and an empty id list) expands to, in run order.
+const ALL: &[&str] = &[
+    "tab1_1", "tab1_2", "fig1_5", "fig2_2", "fig2_3", "fig3_2", "fig3_3", "fig3_4", "fig3_5",
+    "fig3_6", "fig4_1", "fig5_1", "fig5_2", "tab5_1", "tab5_2", "fig5_4", "fig5_5", "fig5_6",
+    "tab6_1",
+];
+
+/// Experiments that run only when named.
+const EXTRA: &[&str] = &["ablation", "ga_smoke"];
+
+const USAGE: &str = "\
+usage: experiments [OPTIONS] [all | ID...]
+
+Regenerates the paper's tables and figures (all of them by default) into
+the results directory and records the run in its manifest.json.
+
+options:
+  --profile-runs N     random input sets per profiling campaign
+  --ga-pop N           stressmark GA population per generation
+  --lanes N            concrete batch lane width
+  --explore-lanes N    symbolic-exploration lane width
+  --incremental        attach a subtree memo (XBOUND_MEMO overrides)
+  -h, --help           print this help
+";
+
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut args: Vec<String> = Vec::new();
-    let mut it = raw.into_iter();
-    while let Some(a) = it.next() {
-        let flag_value = |it: &mut std::vec::IntoIter<String>, flag: &str| -> usize {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} N"))
-        };
+    let mut ids: Vec<String> = Vec::new();
+    let mut args = Args::from_env("experiments");
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--profile-runs" => {
-                xbound_bench::set_profile_runs(flag_value(&mut it, "--profile-runs"))
+            "-h" | "--help" => {
+                print!("{USAGE}\nids: all {} {}\n", ALL.join(" "), EXTRA.join(" "));
+                return;
             }
-            "--ga-pop" => xbound_bench::set_ga_population(flag_value(&mut it, "--ga-pop")),
-            "--lanes" => {
-                std::env::set_var("XBOUND_LANES", flag_value(&mut it, "--lanes").to_string())
+            "--profile-runs" => xbound_bench::set_profile_runs(args.number(&a)),
+            "--ga-pop" => xbound_bench::set_ga_population(args.number(&a)),
+            "--lanes" => std::env::set_var("XBOUND_LANES", args.number(&a).to_string()),
+            "--explore-lanes" => {
+                std::env::set_var("XBOUND_EXPLORE_LANES", args.number(&a).to_string())
             }
-            "--explore-lanes" => std::env::set_var(
-                "XBOUND_EXPLORE_LANES",
-                flag_value(&mut it, "--explore-lanes").to_string(),
-            ),
             // Subtree memo for incremental re-analysis (results are
             // byte-identical; repeat invocations replay from the shared
             // cache directory). `XBOUND_MEMO` set explicitly wins.
@@ -64,24 +88,19 @@ fn main() {
                     std::env::set_var("XBOUND_MEMO", "1");
                 }
             }
-            _ => args.push(a),
+            other if other.starts_with('-') => args.fail(&format!("unknown option `{other}`")),
+            id if id == "all" || ALL.contains(&id) || EXTRA.contains(&id) => ids.push(a),
+            other => args.fail(&format!("unknown experiment id `{other}`")),
         }
     }
-    let mut ids: Vec<&str> = args.iter().map(String::as_str).collect();
-    if ids.is_empty() || ids.contains(&"all") {
-        ids = vec![
-            "tab1_1", "tab1_2", "fig1_5", "fig2_2", "fig2_3", "fig3_2", "fig3_3", "fig3_4",
-            "fig3_5", "fig3_6", "fig4_1", "fig5_1", "fig5_2", "tab5_1", "tab5_2", "fig5_4",
-            "fig5_5", "fig5_6", "tab6_1",
-        ];
+    if ids.is_empty() || ids.iter().any(|id| id == "all") {
+        ids = ALL.iter().map(|id| id.to_string()).collect();
     }
     let mut h = Harness::new().expect("core builds");
     // Shared across fig5_1/fig5_2/tab5_1/tab5_2.
     let mut comparison: Option<ComparisonData> = None;
-    let mut ran: Vec<&str> = Vec::new();
-    for id in ids {
-        ran.push(id);
-        match id {
+    for id in &ids {
+        match id.as_str() {
             "tab1_1" => tab1_1(),
             "tab1_2" => tab1_2(),
             "fig1_5" => fig1_5(&mut h),
@@ -115,20 +134,17 @@ fn main() {
             "tab6_1" => tab6_1(),
             "ablation" => ablation(&mut h),
             "ga_smoke" => ga_smoke(&mut h),
-            other => {
-                ran.pop();
-                xbound_obs::error!("experiments", "unknown experiment id `{other}`");
-            }
+            other => unreachable!("experiment id `{other}` passed the command-line check"),
         }
     }
-    write_manifest(&ran);
+    write_manifest(&ids);
 }
 
 /// Writes `manifest.json` into the results directory (shared `jsonout`
 /// writer): which experiments this run produced, with the population
 /// knobs — so downstream tooling can tell a partial regeneration from a
 /// full one.
-fn write_manifest(ran: &[&str]) {
+fn write_manifest(ran: &[String]) {
     let mut w = xbound_core::jsonout::JsonWriter::pretty();
     w.begin_object();
     w.field_u64("profile_runs", xbound_bench::profile_runs() as u64);

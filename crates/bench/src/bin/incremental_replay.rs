@@ -20,9 +20,14 @@
 //! * `--json PATH` — write per-benchmark cold/warm seconds, speedups, and
 //!   memo counters as JSON (the `incremental_reanalysis` section of
 //!   `BENCH_sim.json` is produced this way).
+//! * `-h`, `--help` — print the usage and exit.
 //! * positional names — restrict to those benchmarks.
+//!
+//! Bad input (an unknown option or benchmark, `--json` without a path)
+//! prints a one-line error and exits with status 2.
 use std::sync::Arc;
 use std::time::Instant;
+use xbound_bench::cli::Args;
 use xbound_core::jsonout::JsonWriter;
 use xbound_core::memo::SubtreeMemo;
 use xbound_core::{summary, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem};
@@ -37,17 +42,41 @@ struct Row {
     stitched: u64,
 }
 
+const USAGE: &str = "\
+usage: incremental_replay [OPTIONS] [BENCH...]
+
+Analyzes each benchmark (or the named benchmarks) cold and then warm
+against one subtree memo, checks the bounds are byte-identical, and
+prints the warm/cold wall-clock ratio.
+
+options:
+  --edit               also run the one-instruction-edit scenario on tHold
+  --json PATH          write per-benchmark timings and memo counters as JSON
+  -h, --help           print this help
+";
+
 fn main() {
     let mut names: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut edit = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env("replay");
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json PATH")),
+            "-h" | "--help" => {
+                print!("{USAGE}");
+                return;
+            }
+            "--json" => json_path = Some(args.value(&a)),
             "--edit" => edit = true,
+            other if other.starts_with('-') => args.fail(&format!("unknown option `{other}`")),
             other => names.push(other.to_string()),
         }
+    }
+    if let Some(n) = names
+        .iter()
+        .find(|n| xbound_benchsuite::by_name(n).is_none())
+    {
+        args.fail(&format!("unknown benchmark `{n}`"));
     }
 
     let sys = UlpSystem::openmsp430_class().unwrap();
@@ -56,12 +85,6 @@ fn main() {
         .iter()
         .filter(|b| names.is_empty() || names.iter().any(|n| n == b.name()))
         .collect();
-    for n in &names {
-        assert!(
-            xbound_benchsuite::by_name(n).is_some(),
-            "unknown benchmark `{n}`"
-        );
-    }
 
     let mut rows: Vec<Row> = Vec::new();
     for b in &benches {

@@ -67,6 +67,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
+use xbound_bench::cli::Args;
 use xbound_core::jsonout::JsonWriter;
 use xbound_core::{
     par, summary, BatchExploreStats, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem,
@@ -94,18 +95,6 @@ options:
   --trace PATH         record a Chrome trace of the run to PATH
   -h, --help           print this help
 ";
-
-/// Prints a one-line error and exits with status 2 (bad command line).
-fn fail(msg: &str) -> ! {
-    xbound_obs::error!("suite", "{msg} (see --help)");
-    std::process::exit(2);
-}
-
-/// Parses the numeric value of `flag`.
-fn number(flag: &str, v: &str) -> usize {
-    v.parse()
-        .unwrap_or_else(|_| fail(&format!("bad value `{v}` for {flag}")))
-}
 
 struct Row {
     name: &'static str,
@@ -138,12 +127,8 @@ fn main() {
     let mut sweep_path: Option<String> = None;
     let mut sweep_corners = 0usize;
     let mut incremental = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env("suite");
     while let Some(a) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-        };
         match a.as_str() {
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -152,20 +137,20 @@ fn main() {
             "--oracle" => std::env::set_var("XBOUND_SIM_ENGINE", "levelized"),
             "--compiled" => std::env::set_var("XBOUND_SIM_ENGINE", "compiled"),
             "--incremental" => incremental = true,
-            "--sweep" => sweep_path = Some(value("--sweep")),
-            "--sweep-corners" => sweep_corners = number(&a, &value(&a)),
-            "--threads" => threads = number(&a, &value(&a)),
-            "--lanes" => lanes = number(&a, &value(&a)),
-            "--explore-lanes" => explore_lanes = number(&a, &value(&a)),
-            "--validate" => validate_runs = number(&a, &value(&a)),
-            "--json" => json_path = Some(value("--json")),
-            "--bounds" => bounds_path = Some(value("--bounds")),
+            "--sweep" => sweep_path = Some(args.value(&a)),
+            "--sweep-corners" => sweep_corners = args.number(&a),
+            "--threads" => threads = args.number(&a),
+            "--lanes" => lanes = args.number(&a),
+            "--explore-lanes" => explore_lanes = args.number(&a),
+            "--validate" => validate_runs = args.number(&a),
+            "--json" => json_path = Some(args.value(&a)),
+            "--bounds" => bounds_path = Some(args.value(&a)),
             "--trace" => {
-                let path = value("--trace");
+                let path = args.value(&a);
                 xbound_obs::trace::enable();
                 trace_path = Some(path);
             }
-            other if other.starts_with('-') => fail(&format!("unknown option `{other}`")),
+            other if other.starts_with('-') => args.fail(&format!("unknown option `{other}`")),
             other => names.push(other.to_string()),
         }
     }
@@ -173,10 +158,10 @@ fn main() {
         .iter()
         .find(|n| xbound_benchsuite::by_name(n).is_none())
     {
-        fail(&format!("unknown benchmark `{n}`"));
+        args.fail(&format!("unknown benchmark `{n}`"));
     }
     if sweep_path.is_some() && (validate_runs > 0 || incremental) {
-        fail("--sweep is not combinable with --validate or --incremental");
+        args.fail("--sweep is not combinable with --validate or --incremental");
     }
     let benches: Vec<&'static xbound_benchsuite::Benchmark> = xbound_benchsuite::all()
         .iter()

@@ -63,9 +63,10 @@ pub mod validate;
 pub use xbound_obs::{jsonin, jsonout};
 
 use std::fmt;
+use std::sync::OnceLock;
 use xbound_cells::CellLibrary;
 use xbound_cpu::Cpu;
-use xbound_logic::Frame;
+use xbound_logic::{BatchFrame, Frame, LaneVal};
 use xbound_msp430::Program;
 use xbound_netlist::NetlistError;
 use xbound_power::{PowerAnalyzer, PowerTrace};
@@ -270,6 +271,75 @@ impl UlpSystem {
         input_sets: &[Vec<u16>],
         max_cycles: u64,
     ) -> Result<Vec<(Vec<Frame>, PowerTrace)>, AnalysisError> {
+        // Each lane's scalar frame is reconstructed incrementally from the
+        // change log: only nets that actually changed since the previous
+        // cycle are rewritten, then the per-lane frame is stored by
+        // (cheap, word-packed) clone — the same storage the scalar path
+        // produces.
+        let lanes = input_sets.len();
+        let mut cur_lane: Vec<Frame> = Vec::new();
+        let mut lane_frames: Vec<Vec<Frame>> = vec![Vec::new(); lanes];
+        let traces = self.run_concrete_batch(
+            program,
+            input_sets,
+            max_cycles,
+            |prev, bf, changes, recording| {
+                match prev {
+                    None => cur_lane = (0..lanes).map(|l| bf.lane_frame(l)).collect(),
+                    Some(prev) => {
+                        for &i in changes {
+                            let i = i as usize;
+                            let q = bf.get(i);
+                            let mut changed = prev.get(i).changed_lanes(q);
+                            while changed != 0 {
+                                let l = changed.trailing_zeros() as usize;
+                                cur_lane[l].set(i, q.get(l));
+                                changed &= changed - 1;
+                            }
+                        }
+                    }
+                }
+                let mut m = recording;
+                while m != 0 {
+                    let l = m.trailing_zeros() as usize;
+                    lane_frames[l].push(cur_lane[l].clone());
+                    m &= m - 1;
+                }
+            },
+        )?;
+        Ok(lane_frames.into_iter().zip(traces).collect())
+    }
+
+    /// The one batched concrete loop behind [`UlpSystem::profile_concrete_batch`]
+    /// and [`Analysis::validate_population`]: runs up to
+    /// [`xbound_logic::MAX_LANES`] input sets through one
+    /// [`xbound_sim::BatchSimulator`] until every lane reaches its `jmp $`
+    /// self-loop, and returns one power trace per lane, each stopping at
+    /// its own halt frame.
+    ///
+    /// Every settled cycle calls `on_cycle(prev, frame, changes,
+    /// recording)`: `prev` is the previous cycle's frame (`None` on the
+    /// first cycle), `changes` the ascending, duplicate-free nets the
+    /// engine wrote since then (a superset of the nets that differ), and
+    /// `recording` the lanes that had not halted before this cycle — the
+    /// cycles a lane's frames and trace cover.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::CycleBudget`] if any lane fails to halt
+    /// within `max_cycles`, or a simulator error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_sets` is empty or longer than
+    /// [`xbound_logic::MAX_LANES`].
+    fn run_concrete_batch(
+        &self,
+        program: &Program,
+        input_sets: &[Vec<u16>],
+        max_cycles: u64,
+        mut on_cycle: impl FnMut(Option<&BatchFrame>, &BatchFrame, &[u32], u64),
+    ) -> Result<Vec<PowerTrace>, AnalysisError> {
         let lanes = input_sets.len();
         assert!(
             (1..=xbound_logic::MAX_LANES).contains(&lanes),
@@ -282,74 +352,53 @@ impl UlpSystem {
         }
         sim.set_change_logging(true);
         let analyzer = self.analyzer();
-        // Power accumulates streaming (no batch-frame sequence is ever
-        // materialized), and each lane's scalar frame is reconstructed
-        // incrementally from the engine's net-level change log: only nets
-        // that actually changed since the previous cycle are rewritten,
-        // then the per-lane frame is stored by (cheap, word-packed) clone
-        // — the same storage the scalar path produces.
+        // Power accumulates streaming: no batch-frame sequence is ever
+        // materialized.
         let mut acc = analyzer.batch_accumulator(lanes);
-        let mut prev: Option<xbound_logic::BatchFrame> = None;
-        let mut cur_lane: Vec<Frame> = Vec::new();
+        let mut prev: Option<BatchFrame> = None;
         let mut changes: Vec<u32> = Vec::new();
-        let mut lane_frames: Vec<Vec<Frame>> = vec![Vec::new(); lanes];
-        // One-past-the-halt-frame cycle count per lane (0 = still running).
+        // One-past-the-halt-frame cycle count per lane.
         let mut lane_cycles = vec![0usize; lanes];
-        let mut running = lanes;
-        for _ in 0..max_cycles {
+        let mut recording = u64::MAX >> (64 - lanes);
+        for cycle in 1..=max_cycles {
             sim.eval()?;
             sim.swap_change_log(&mut changes);
-            // The sorted, deduplicated log serves both the per-lane frame
-            // reconstruction and the power accumulator (whose f64 order
-            // requires ascending nets).
+            // The sorted, deduplicated log serves the per-cycle consumer
+            // and the power accumulator (whose f64 order requires
+            // ascending nets).
             changes.sort_unstable();
             changes.dedup();
             let bf = sim.frame();
+            on_cycle(prev.as_ref(), bf, &changes, recording);
+            acc.push_changed(bf, &changes);
             match &mut prev {
-                None => {
-                    cur_lane = (0..lanes).map(|l| bf.lane_frame(l)).collect();
-                    prev = Some(bf.clone());
-                }
+                None => prev = Some(bf.clone()),
                 Some(prev) => {
                     for &i in &changes {
-                        let i = i as usize;
-                        let p = prev.get(i);
-                        let q = bf.get(i);
-                        let mut changed = (p.val ^ q.val) | (p.unk ^ q.unk);
-                        while changed != 0 {
-                            let l = changed.trailing_zeros() as usize;
-                            cur_lane[l].set(i, q.get(l));
-                            changed &= changed - 1;
-                        }
-                        prev.set(i, q);
+                        prev.set(i as usize, bf.get(i as usize));
                     }
                 }
             }
-            acc.push_changed(bf, &changes);
             changes.clear();
-            for (lane, n) in lane_cycles.iter_mut().enumerate() {
-                if *n == 0 {
-                    lane_frames[lane].push(cur_lane[lane].clone());
-                    let halt = self.cpu.state_lane(&sim, lane) == Some(xbound_cpu::State::Decode)
-                        && self.cpu.ir_word_lane(&sim, lane).to_u16() == Some(0x3FFF);
-                    if halt {
-                        *n = lane_frames[lane].len();
-                        running -= 1;
-                    }
+            let mut m = recording;
+            while m != 0 {
+                let lane = m.trailing_zeros() as usize;
+                m &= m - 1;
+                let halt = self.cpu.state_lane(&sim, lane) == Some(xbound_cpu::State::Decode)
+                    && self.cpu.ir_word_lane(&sim, lane).to_u16() == Some(0x3FFF);
+                if halt {
+                    lane_cycles[lane] = cycle as usize;
+                    recording &= !(1u64 << lane);
                 }
             }
-            if running == 0 {
-                break;
+            if recording == 0 {
+                return Ok(acc.finish(Some(&lane_cycles)));
             }
             sim.commit();
         }
-        if running > 0 {
-            return Err(AnalysisError::CycleBudget {
-                cycles: acc.cycles() as u64,
-            });
-        }
-        let traces = acc.finish(Some(&lane_cycles));
-        Ok(lane_frames.into_iter().zip(traces).collect())
+        Err(AnalysisError::CycleBudget {
+            cycles: acc.cycles() as u64,
+        })
     }
 
     /// Runs a whole population of input sets through the batched engine,
@@ -371,20 +420,34 @@ impl UlpSystem {
         lanes: usize,
         threads: usize,
     ) -> Result<Vec<(Vec<Frame>, PowerTrace)>, AnalysisError> {
-        if input_sets.is_empty() {
-            return Ok(Vec::new());
-        }
-        let lanes = par::resolve_lanes(lanes);
-        let chunks: Vec<&[Vec<u16>]> = input_sets.chunks(lanes).collect();
-        let results = par::par_map(threads, chunks, |_, chunk| {
-            self.profile_concrete_batch(program, chunk, max_cycles)
-        });
-        let mut out = Vec::with_capacity(input_sets.len());
-        for r in results {
-            out.extend(r?);
-        }
-        Ok(out)
+        par_lane_groups(input_sets, lanes, threads, |group| {
+            self.profile_concrete_batch(program, group, max_cycles)
+        })
     }
+}
+
+/// Chunks `input_sets` into lane groups of `lanes` (0 = auto) and maps
+/// `run` over them on `threads` workers (0 = auto), concatenating the
+/// per-group results in population order.
+///
+/// # Errors
+///
+/// Propagates the first failing group's error in population order.
+fn par_lane_groups<T: Send>(
+    input_sets: &[Vec<u16>],
+    lanes: usize,
+    threads: usize,
+    run: impl Fn(&[Vec<u16>]) -> Result<Vec<T>, AnalysisError> + Sync,
+) -> Result<Vec<T>, AnalysisError> {
+    if input_sets.is_empty() {
+        return Ok(Vec::new());
+    }
+    let groups: Vec<&[Vec<u16>]> = input_sets.chunks(par::resolve_lanes(lanes)).collect();
+    let mut out = Vec::with_capacity(input_sets.len());
+    for r in par::par_map(threads, groups, |_, group| run(group)) {
+        out.extend(r?);
+    }
+    Ok(out)
 }
 
 /// Builder for one co-analysis run.
@@ -473,6 +536,7 @@ impl<'s> CoAnalysis<'s> {
             stats,
             peak: bound.peak,
             energy: bound.energy,
+            marked: OnceLock::new(),
         })
     }
 }
@@ -485,6 +549,9 @@ pub struct Analysis<'s> {
     stats: ExploreStats,
     peak: PeakPowerResult,
     energy: PeakEnergyResult,
+    /// The tree's packed potentially-toggled set, built by the first
+    /// validation that needs it.
+    marked: OnceLock<Vec<u64>>,
 }
 
 impl Analysis<'_> {
@@ -518,13 +585,19 @@ impl Analysis<'_> {
         cycles_of_interest(self.system.cpu(), &self.tree, &self.peak, k)
     }
 
+    /// The tree's potentially-toggled nets, packed one bit per net (see
+    /// [`ExecutionTree::potentially_toggled_words`]); built once, on first
+    /// use, and shared by every validation of this analysis.
+    fn marked_nets(&self) -> &[u64] {
+        self.marked.get_or_init(|| {
+            self.tree
+                .potentially_toggled_words(self.system.cpu().netlist().net_count())
+        })
+    }
+
     /// Toggle-superset check against a concrete run (Fig 12).
     pub fn check_superset(&self, concrete_frames: &[Frame]) -> SupersetReport {
-        validate::check_toggle_superset(
-            &self.tree,
-            self.system.cpu().netlist().net_count(),
-            concrete_frames,
-        )
+        validate::check_toggle_superset(self.marked_nets(), concrete_frames)
     }
 
     /// Power-dominance check against a measured concrete trace (Fig 13).
@@ -536,11 +609,11 @@ impl Analysis<'_> {
         concrete_frames: &[Frame],
         measured: &PowerTrace,
     ) -> Option<DominanceReport> {
+        let bt = self.system.cpu().io().branch_taken.index();
         validate::check_power_dominance(
-            self.system.cpu(),
             &self.tree,
             &self.peak,
-            concrete_frames,
+            concrete_frames.iter().map(|f| f.get(bt)),
             measured.per_cycle_mw(),
         )
     }
@@ -550,8 +623,14 @@ impl Analysis<'_> {
     /// sets are chunked into lane groups (`lanes`, 0 = auto) that fan
     /// out across `threads` workers (0 = auto), and each run is checked
     /// for toggle-superset and power dominance. Reports are ordered like
-    /// `input_sets` and bit-identical to per-run scalar validation at
-    /// any lane width or thread count.
+    /// `input_sets` and equal to per-run [`Analysis::check_superset`] and
+    /// [`Analysis::check_dominance`] of scalar
+    /// [`UlpSystem::profile_concrete`] runs at any lane width or thread
+    /// count.
+    ///
+    /// Each lane group is checked while it runs: no per-lane frame
+    /// sequence is stored, only a lane mask of toggles per net and the
+    /// per-cycle `branch_taken` values.
     ///
     /// # Errors
     ///
@@ -565,14 +644,56 @@ impl Analysis<'_> {
         lanes: usize,
         threads: usize,
     ) -> Result<Vec<ConcreteRunCheck>, AnalysisError> {
-        let runs = self
-            .system
-            .profile_concrete_population(program, input_sets, max_cycles, lanes, threads)?;
-        Ok(runs
+        par_lane_groups(input_sets, lanes, threads, |group| {
+            self.validate_lane_group(program, group, max_cycles)
+        })
+    }
+
+    /// [`Analysis::validate_population`] of one lane group.
+    fn validate_lane_group(
+        &self,
+        program: &Program,
+        input_sets: &[Vec<u16>],
+        max_cycles: u64,
+    ) -> Result<Vec<ConcreteRunCheck>, AnalysisError> {
+        let marked = self.marked_nets();
+        let net_count = self.system.cpu().netlist().net_count();
+        let bt = self.system.cpu().io().branch_taken.index();
+        // Per net, the lanes that toggled it in a cycle they recorded.
+        let mut toggled_lanes = vec![0u64; net_count];
+        let mut branch_taken: Vec<LaneVal> = Vec::new();
+        let traces = self.system.run_concrete_batch(
+            program,
+            input_sets,
+            max_cycles,
+            |prev, bf, changes, recording| {
+                if let Some(prev) = prev {
+                    for &i in changes {
+                        let i = i as usize;
+                        toggled_lanes[i] |= prev.get(i).changed_lanes(bf.get(i)) & recording;
+                    }
+                }
+                branch_taken.push(bf.get(bt));
+            },
+        )?;
+        let mut toggled = vec![0u64; marked.len()];
+        Ok(traces
             .iter()
-            .map(|(frames, trace)| ConcreteRunCheck {
-                superset: self.check_superset(frames),
-                dominance: self.check_dominance(frames, trace),
+            .enumerate()
+            .map(|(lane, trace)| {
+                toggled.fill(0);
+                for (i, lanes) in toggled_lanes.iter().enumerate() {
+                    toggled[i / 64] |= ((lanes >> lane) & 1) << (i % 64);
+                }
+                ConcreteRunCheck {
+                    superset: validate::superset_report(marked, &toggled),
+                    dominance: validate::check_power_dominance(
+                        &self.tree,
+                        &self.peak,
+                        branch_taken[..trace.cycles()].iter().map(|v| v.get(lane)),
+                        trace.per_cycle_mw(),
+                    ),
+                }
             })
             .collect())
     }

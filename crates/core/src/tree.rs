@@ -172,30 +172,20 @@ impl ExecutionTree {
     /// is potentially active at a cycle if its value changed from the
     /// previous cycle or either endpoint is X.
     ///
-    /// Returns one `bool` per net: `true` if the net can possibly toggle at
-    /// any point in any execution.
-    pub fn potentially_toggled_nets(&self, net_count: usize) -> Vec<bool> {
-        let mut out = vec![false; net_count];
+    /// Returns the set packed one bit per net (`net_count.div_ceil(64)`
+    /// words, net `i` at bit `i % 64` of word `i / 64`): set if the net
+    /// can possibly toggle at any point in any execution. Each segment's
+    /// first frame pairs with its parent's last frame; the root's first
+    /// frame has no predecessor and contributes nothing.
+    pub fn potentially_toggled_words(&self, net_count: usize) -> Vec<u64> {
+        let mut out = vec![0u64; net_count.div_ceil(64)];
         for (id, seg) in self.segments.iter().enumerate() {
-            let boundary = self.boundary_prev(SegmentId(id as u32));
-            for (ci, cur) in seg.frames.iter().enumerate() {
-                let prev: Option<&Frame> = if ci == 0 {
-                    boundary
-                } else {
-                    Some(&seg.frames[ci - 1])
-                };
-                let Some(prev) = prev else { continue };
-                for i in prev.diff_indices(cur) {
-                    out[i] = true;
-                }
-                // X endpoints can toggle even when structurally equal.
-                for (i, o) in out.iter_mut().enumerate() {
-                    if !*o
-                        && (cur.get(i) == xbound_logic::Lv::X || prev.get(i) == xbound_logic::Lv::X)
-                    {
-                        *o = true;
-                    }
-                }
+            let frames = self
+                .boundary_prev(SegmentId(id as u32))
+                .into_iter()
+                .chain(&seg.frames);
+            for (prev, cur) in frames.clone().zip(frames.skip(1)) {
+                prev.or_potential_toggle_words_into(cur, &mut out);
             }
         }
         out

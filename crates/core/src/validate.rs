@@ -11,7 +11,6 @@
 
 use crate::peak_power::PeakPowerResult;
 use crate::tree::{ExecutionTree, SegmentEnd, SegmentId};
-use xbound_cpu::Cpu;
 use xbound_logic::{Frame, Lv};
 
 /// Result of the toggle-superset check (Fig 12).
@@ -33,28 +32,43 @@ impl SupersetReport {
     }
 }
 
-/// Compares the potentially-toggled set against a concrete run's toggles.
-pub fn check_toggle_superset(
-    tree: &ExecutionTree,
-    net_count: usize,
-    concrete_frames: &[Frame],
-) -> SupersetReport {
-    let marked = tree.potentially_toggled_nets(net_count);
-    let mut toggled = vec![false; net_count];
+/// Compares a packed potentially-toggled set (see
+/// [`ExecutionTree::potentially_toggled_words`]) against a concrete run's
+/// frames: every consecutive pair's differing nets are ORed into packed
+/// words, then the two sets are compared with the same kernel the
+/// streamed [`crate::Analysis::validate_population`] uses.
+///
+/// # Panics
+///
+/// Panics if the frames are wider than the marked set.
+pub fn check_toggle_superset(marked: &[u64], concrete_frames: &[Frame]) -> SupersetReport {
+    let mut toggled = vec![0u64; marked.len()];
     for w in concrete_frames.windows(2) {
-        for i in w[0].diff_indices(&w[1]) {
-            toggled[i] = true;
-        }
+        w[0].or_diff_words_into(&w[1], &mut toggled);
     }
+    superset_report(marked, &toggled)
+}
+
+/// The toggle-superset comparison of two packed net sets (one bit per
+/// net, equal word counts, zero past the last net): `common` and
+/// `x_only` are popcounts, `violations` the set bits of
+/// `toggled & !marked` in ascending net order.
+///
+/// # Panics
+///
+/// Panics if the word counts differ.
+pub(crate) fn superset_report(marked: &[u64], toggled: &[u64]) -> SupersetReport {
+    assert_eq!(marked.len(), toggled.len(), "net set width mismatch");
     let mut common = 0;
     let mut x_only = 0;
     let mut violations = Vec::new();
-    for i in 0..net_count {
-        match (marked[i], toggled[i]) {
-            (true, true) => common += 1,
-            (true, false) => x_only += 1,
-            (false, true) => violations.push(i),
-            (false, false) => {}
+    for (w, (&m, &t)) in marked.iter().zip(toggled).enumerate() {
+        common += (m & t).count_ones() as usize;
+        x_only += (m & !t).count_ones() as usize;
+        let mut missed = t & !m;
+        while missed != 0 {
+            violations.push(w * 64 + missed.trailing_zeros() as usize);
+            missed &= missed - 1;
         }
     }
     SupersetReport {
@@ -66,18 +80,19 @@ pub fn check_toggle_superset(
 
 /// Follows a concrete run through the execution tree by matching branch
 /// directions, returning `(segment, in-segment cycle)` for each concrete
-/// cycle. Returns `None` when the concrete run leaves the explored tree
-/// (which indicates an analysis bug).
+/// cycle. `branch_taken` yields the run's `branch_taken` value at every
+/// cycle (from frames: `frames.iter().map(|f| f.get(bt))`); only the
+/// values at fork points are read. Returns `None` when the concrete run
+/// leaves the explored tree (which indicates an analysis bug).
 pub fn follow_path(
-    cpu: &Cpu,
     tree: &ExecutionTree,
-    concrete_frames: &[Frame],
+    branch_taken: impl IntoIterator<Item = Lv>,
 ) -> Option<Vec<(SegmentId, usize)>> {
-    let bt = cpu.io().branch_taken.index();
-    let mut out = Vec::with_capacity(concrete_frames.len());
+    let branch_taken = branch_taken.into_iter();
+    let mut out = Vec::with_capacity(branch_taken.size_hint().0);
     let mut seg = tree.root();
     let mut ci = 0usize;
-    for frame in concrete_frames {
+    for dir in branch_taken {
         // Advance over merges: a merged segment's continuation is its
         // covering segment starting right after the branch frame.
         loop {
@@ -88,7 +103,6 @@ pub fn follow_path(
                 SegmentEnd::Fork {
                     taken, not_taken, ..
                 } => {
-                    let dir = frame.get(bt);
                     seg = match dir {
                         Lv::One => taken,
                         Lv::Zero => not_taken,
@@ -152,15 +166,16 @@ impl DominanceReport {
 
 /// Checks per-cycle dominance of the bound over a measured concrete trace.
 ///
-/// `measured_mw[c]` must align with `concrete_frames[c]` (same simulation).
+/// `branch_taken` yields the run's `branch_taken` value per cycle (see
+/// [`follow_path`]), and `measured_mw[c]` must align with its cycle `c`
+/// (same simulation).
 pub fn check_power_dominance(
-    cpu: &Cpu,
     tree: &ExecutionTree,
     peak: &PeakPowerResult,
-    concrete_frames: &[Frame],
+    branch_taken: impl IntoIterator<Item = Lv>,
     measured_mw: &[f64],
 ) -> Option<DominanceReport> {
-    let path = follow_path(cpu, tree, concrete_frames)?;
+    let path = follow_path(tree, branch_taken)?;
     let mut min_margin = f64::INFINITY;
     let mut ratio_sum = 0.0;
     let mut ratio_n = 0usize;

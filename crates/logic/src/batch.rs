@@ -91,6 +91,12 @@ impl LaneVal {
         }
     }
 
+    /// Lanes whose value differs between `self` and `other`.
+    #[inline]
+    pub fn changed_lanes(self, other: LaneVal) -> u64 {
+        (self.val ^ other.val) | (self.unk ^ other.unk)
+    }
+
     /// Lanes that are known-0 (helper for the kernels below).
     #[inline]
     fn known0(self) -> u64 {

@@ -270,6 +270,39 @@ impl Frame {
         }
     }
 
+    /// ORs one bit per net whose value differs between the two frames
+    /// into `out` — the word-wise [`Frame::diff_indices`], for building a
+    /// run's toggled-net set without a per-pair index list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frames have different lengths or `out` is shorter
+    /// than [`Frame::word_count`].
+    pub fn or_diff_words_into(&self, other: &Frame, out: &mut [u64]) {
+        assert_eq!(self.len, other.len, "frame length mismatch");
+        for (w, o) in out[..self.val.len()].iter_mut().enumerate() {
+            *o |= (self.val[w] ^ other.val[w]) | (self.unk[w] ^ other.unk[w]);
+        }
+    }
+
+    /// ORs one bit per net that may toggle between the two frames into
+    /// `out`: the net differs, or it is `X` in either frame (an `X`
+    /// endpoint can toggle even when both frames hold `X`) — Algorithm 1's
+    /// potentially-toggled rule, word-wise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frames have different lengths or `out` is shorter
+    /// than [`Frame::word_count`].
+    pub fn or_potential_toggle_words_into(&self, other: &Frame, out: &mut [u64]) {
+        assert_eq!(self.len, other.len, "frame length mismatch");
+        // The value plane is zero wherever the unknown plane is set, so
+        // the value XOR plus both unknown planes covers every case.
+        for (w, o) in out[..self.val.len()].iter_mut().enumerate() {
+            *o |= (self.val[w] ^ other.val[w]) | self.unk[w] | other.unk[w];
+        }
+    }
+
     /// Number of `X` nets in the frame.
     pub fn x_count(&self) -> usize {
         self.unk.iter().map(|w| w.count_ones() as usize).sum()
@@ -380,6 +413,32 @@ mod tests {
         b.set(150, Lv::One);
         assert_eq!(a.diff_count(&b), 3);
         assert_eq!(a.diff_indices(&b), vec![0, 100, 150]);
+    }
+
+    #[test]
+    fn word_or_helpers_match_per_net_rules() {
+        let mut a = Frame::new(130);
+        let mut b = Frame::new(130);
+        a.set(0, Lv::One); // 1 -> 0: differs
+        a.set(64, Lv::X); // X -> X: potential only
+        b.set(64, Lv::X);
+        a.set(65, Lv::X); // X -> 0: differs
+        b.set(129, Lv::One); // 0 -> 1: differs
+        a.set(100, Lv::One); // 1 -> 1: neither
+        b.set(100, Lv::One);
+        let mut diff = vec![0u64; a.word_count()];
+        diff[0] = 1 << 5;
+        a.or_diff_words_into(&b, &mut diff);
+        let mut potential = vec![0u64; a.word_count()];
+        a.or_potential_toggle_words_into(&b, &mut potential);
+        let bits = |words: &[u64]| -> Vec<usize> {
+            (0..130)
+                .filter(|&i| (words[i / 64] >> (i % 64)) & 1 == 1)
+                .collect()
+        };
+        // OR-in keeps bits already set.
+        assert_eq!(bits(&diff), vec![0, 5, 65, 129]);
+        assert_eq!(bits(&potential), vec![0, 64, 65, 129]);
     }
 
     #[test]

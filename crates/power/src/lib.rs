@@ -468,7 +468,7 @@ impl BatchPowerAccumulator<'_> {
     /// reachable when callers analyze raw symbolic traces).
     #[inline]
     fn accumulate_net(&mut self, c: usize, i: usize, p: LaneVal, q: LaneVal) {
-        let changed = (p.val ^ q.val) | (p.unk ^ q.unk);
+        let changed = p.changed_lanes(q);
         if changed == 0 {
             return;
         }

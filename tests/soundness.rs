@@ -26,64 +26,54 @@ fn analysis_for<'s>(
     (analysis, bench)
 }
 
-/// Superset + dominance over random and extremal inputs for a benchmark
-/// with input-dependent control flow and one without.
+/// The paper's soundness checks on every suite program: each program's
+/// extremal inputs plus a small seeded population run through the batched
+/// validation, and every run must keep the toggle superset, the per-cycle
+/// power dominance, a measured peak within the bound and a measured NPE
+/// within the bound's NPE (Figs 12, 13 and the Fig 17 soundness column).
 #[test]
 fn bounds_dominate_concrete_runs() {
     let system = UlpSystem::openmsp430_class().expect("builds");
     let mut rng = StdRng::seed_from_u64(1234);
-    for name in ["tHold", "intAVG", "div"] {
-        let (analysis, bench) = analysis_for(&system, name);
+    for bench in xbound::benchsuite::all() {
+        let name = bench.name();
+        let (analysis, _) = analysis_for(&system, name);
         let program = bench.program().expect("assembles");
+        let max_cycles = bench.max_concrete_cycles();
         let mut input_sets = bench.stress_inputs();
-        for _ in 0..3 {
-            input_sets.push(bench.gen_inputs(&mut rng));
-        }
-        for inputs in input_sets {
-            let (frames, measured) = system
-                .profile_concrete(&program, &inputs, bench.max_concrete_cycles())
-                .expect("halts");
+        input_sets.extend((0..3).map(|_| bench.gen_inputs(&mut rng)));
+        let checks = analysis
+            .validate_population(&program, &input_sets, max_cycles, 0, 0)
+            .expect("every run halts");
+        let runs = system
+            .profile_concrete_population(&program, &input_sets, max_cycles, 0, 0)
+            .expect("every run halts");
+        let peak_mw = analysis.peak_power().peak_mw;
+        let bound_npe = analysis.peak_energy().npe_j_per_cycle;
+        for ((inputs, check), (_, measured)) in input_sets.iter().zip(&checks).zip(&runs) {
             assert!(
-                measured.peak_mw() <= analysis.peak_power().peak_mw + 1e-9,
-                "{name}: measured {} exceeds bound {} for {inputs:?}",
-                measured.peak_mw(),
-                analysis.peak_power().peak_mw
-            );
-            let sup = analysis.check_superset(&frames);
-            assert!(
-                sup.is_sound(),
+                check.superset.is_sound(),
                 "{name}: {} superset violations for {inputs:?}",
-                sup.violations.len()
+                check.superset.violations.len()
             );
-            let dom = analysis
-                .check_dominance(&frames, &measured)
+            let dom = check
+                .dominance
+                .as_ref()
                 .expect("path stays inside the explored tree");
             assert!(
                 dom.is_sound(),
                 "{name}: dominance violations at {:?} for {inputs:?}",
                 &dom.violations[..dom.violations.len().min(4)]
             );
-        }
-    }
-}
-
-/// NPE bound dominates observed NPE (the Fig 17 soundness column).
-#[test]
-fn energy_bound_dominates_observed() {
-    let system = UlpSystem::openmsp430_class().expect("builds");
-    let mut rng = StdRng::seed_from_u64(77);
-    for name in ["intAVG", "ConvEn"] {
-        let (analysis, bench) = analysis_for(&system, name);
-        let program = bench.program().expect("assembles");
-        let bound_npe = analysis.peak_energy().npe_j_per_cycle;
-        for _ in 0..3 {
-            let inputs = bench.gen_inputs(&mut rng);
-            let (_, measured) = system
-                .profile_concrete(&program, &inputs, bench.max_concrete_cycles())
-                .expect("halts");
+            assert!(
+                measured.peak_mw() <= peak_mw + 1e-9,
+                "{name}: measured {} exceeds bound {peak_mw} for {inputs:?}",
+                measured.peak_mw(),
+            );
             assert!(
                 measured.energy_per_cycle_j() <= bound_npe + 1e-18,
-                "{name}: observed NPE exceeds bound"
+                "{name}: observed NPE {} exceeds bound {bound_npe} for {inputs:?}",
+                measured.energy_per_cycle_j(),
             );
         }
     }
