@@ -79,6 +79,29 @@ fn bounds_dominate_concrete_runs() {
     }
 }
 
+/// NPE bound dominates observed NPE (the Fig 17 soundness column), measured
+/// through the single-run `profile_concrete` path.
+#[test]
+fn energy_bound_dominates_observed() {
+    let system = UlpSystem::openmsp430_class().expect("builds");
+    let mut rng = StdRng::seed_from_u64(77);
+    for name in ["intAVG", "ConvEn"] {
+        let (analysis, bench) = analysis_for(&system, name);
+        let program = bench.program().expect("assembles");
+        let bound_npe = analysis.peak_energy().npe_j_per_cycle;
+        for _ in 0..3 {
+            let inputs = bench.gen_inputs(&mut rng);
+            let (_, measured) = system
+                .profile_concrete(&program, &inputs, bench.max_concrete_cycles())
+                .expect("halts");
+            assert!(
+                measured.energy_per_cycle_j() <= bound_npe + 1e-18,
+                "{name}: observed NPE exceeds bound"
+            );
+        }
+    }
+}
+
 /// The analysis is deterministic: same program, same tree, same bound.
 #[test]
 fn analysis_is_deterministic() {
