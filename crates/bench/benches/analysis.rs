@@ -44,40 +44,10 @@ fn bench_batched_symbolic_exploration(c: &mut Criterion) {
             let cfg = ExploreConfig {
                 widen_threshold: bench.widen_threshold(),
                 max_total_cycles: 5_000_000,
-                threads: 1,
                 lanes,
                 ..ExploreConfig::default()
             };
             g.bench_with_input(BenchmarkId::new(name, lanes), &program, |b, p| {
-                b.iter(|| {
-                    let explorer = SymbolicExplorer::new(sys.cpu(), cfg);
-                    explorer.explore(p).expect("explores")
-                });
-            });
-        }
-    }
-    g.finish();
-}
-
-/// Work-stealing thread scaling on the two slowest suite benchmarks.
-/// Lanes stay fixed at 8 so the only variable is the worker pool; the
-/// tree and every bound are bit-identical at any thread count.
-fn bench_explore_thread_scaling(c: &mut Criterion) {
-    let sys = UlpSystem::openmsp430_class().expect("builds");
-    let mut g = c.benchmark_group("explore_thread_scaling");
-    g.sample_size(10);
-    for name in ["rle", "Viterbi"] {
-        let bench = xbound_benchsuite::by_name(name).expect("exists");
-        let program = bench.program().expect("assembles");
-        for threads in [1usize, 2, 4] {
-            let cfg = ExploreConfig {
-                widen_threshold: bench.widen_threshold(),
-                max_total_cycles: 5_000_000,
-                threads,
-                lanes: 8,
-                ..ExploreConfig::default()
-            };
-            g.bench_with_input(BenchmarkId::new(name, threads), &program, |b, p| {
                 b.iter(|| {
                     let explorer = SymbolicExplorer::new(sys.cpu(), cfg);
                     explorer.explore(p).expect("explores")
@@ -148,7 +118,6 @@ fn bench_sweep_amortization(c: &mut Criterion) {
         let program = bench.program().expect("assembles");
         let cfg = ExploreConfig {
             widen_threshold: bench.widen_threshold(),
-            threads: 1,
             ..ExploreConfig::suite_default()
         };
         g.bench_with_input(
@@ -190,7 +159,6 @@ criterion_group!(
     benches,
     bench_algorithm1,
     bench_batched_symbolic_exploration,
-    bench_explore_thread_scaling,
     bench_algorithm2,
     bench_end_to_end,
     bench_sweep_amortization

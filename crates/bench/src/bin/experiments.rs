@@ -32,13 +32,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xbound_baselines::{design_tool, stressmark, GUARDBAND};
-use xbound_bench::cli::Args;
 use xbound_bench::{emit, geomean, mw, npe, pct, Harness, Table, SEED};
 use xbound_core::optimize::{optimize_program, OptimizeOptions};
 use xbound_core::{Corner, SweepSpec, UlpSystem};
 use xbound_logic::Lv;
 use xbound_msp430::assemble;
 use xbound_netlist::{CellKind, Netlist};
+use xbound_obs::cli::Args;
 
 /// The experiments `all` (and an empty id list) expands to, in run order.
 const ALL: &[&str] = &[
@@ -67,18 +67,15 @@ options:
 
 fn main() {
     let mut ids: Vec<String> = Vec::new();
-    let mut args = Args::from_env("experiments");
+    let usage = format!("{USAGE}\nids: all {} {}\n", ALL.join(" "), EXTRA.join(" "));
+    let mut args = Args::from_env("experiments", usage);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}\nids: all {} {}\n", ALL.join(" "), EXTRA.join(" "));
-                return;
-            }
             "--profile-runs" => xbound_bench::set_profile_runs(args.number(&a)),
             "--ga-pop" => xbound_bench::set_ga_population(args.number(&a)),
-            "--lanes" => std::env::set_var("XBOUND_LANES", args.number(&a).to_string()),
+            "--lanes" => std::env::set_var("XBOUND_LANES", args.number::<usize>(&a).to_string()),
             "--explore-lanes" => {
-                std::env::set_var("XBOUND_EXPLORE_LANES", args.number(&a).to_string())
+                std::env::set_var("XBOUND_EXPLORE_LANES", args.number::<usize>(&a).to_string())
             }
             // Subtree memo for incremental re-analysis (results are
             // byte-identical; repeat invocations replay from the shared
@@ -780,12 +777,7 @@ fn fig5_4_5_6(h: &mut Harness, overheads: bool) {
                 iss_inputs: inputs,
                 ..OptimizeOptions::default()
             };
-            // One layer of parallelism at a time: benchmarks already fan out
-            // here, so each optimizer run explores single-threaded.
-            let config = xbound_core::ExploreConfig {
-                threads: 1,
-                ..Harness::explore_config(bench)
-            };
+            let config = Harness::explore_config(bench);
             optimize_program(&sys, bench.source(), config, bench.energy_rounds(), &opts)
                 .expect("optimizer runs")
         },

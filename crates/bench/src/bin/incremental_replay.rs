@@ -27,11 +27,11 @@
 //! prints a one-line error and exits with status 2.
 use std::sync::Arc;
 use std::time::Instant;
-use xbound_bench::cli::Args;
 use xbound_core::jsonout::JsonWriter;
 use xbound_core::memo::SubtreeMemo;
 use xbound_core::{summary, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem};
 use xbound_msp430::assemble;
+use xbound_obs::cli::Args;
 
 struct Row {
     name: &'static str,
@@ -59,13 +59,9 @@ fn main() {
     let mut names: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut edit = false;
-    let mut args = Args::from_env("replay");
+    let mut args = Args::from_env("replay", USAGE);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return;
-            }
             "--json" => json_path = Some(args.value(&a)),
             "--edit" => edit = true,
             other if other.starts_with('-') => args.fail(&format!("unknown option `{other}`")),

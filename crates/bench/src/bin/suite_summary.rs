@@ -28,7 +28,7 @@
 //! * `--json PATH` — additionally write per-benchmark wall-clock numbers
 //!   and bounds as JSON (via the shared `xbound_core::jsonout` writer),
 //!   with engine / thread-count / lane-width metadata plus the
-//!   exploration's lane-occupancy and speculative-waste counters, so
+//!   exploration's gate-pass and lane-occupancy counters, so
 //!   `BENCH_*.json` entries are self-describing.
 //! * `--bounds PATH` — write one canonical `{"name": ..., "bounds": ...}`
 //!   line per benchmark ([`xbound_core::summary::bounds_line`]); the
@@ -52,9 +52,10 @@
 //!   smoke contract). Not combinable with `--validate`/`--incremental`.
 //! * `--sweep-corners N` — truncate the default 8-corner grid to its
 //!   first `N` corners (the CI smoke runs 4).
-//! * `--trace PATH` — record a Chrome-trace of the run (exploration,
-//!   power composition, sweep stages, per-worker scheduling events) and
-//!   write it to PATH at exit; load it at `chrome://tracing` or
+//! * `--trace PATH` — record a Chrome-trace of the run (exploration and
+//!   its path-simulation batches, forks and commits, power composition,
+//!   sweep stages, one track per suite worker) and write it to PATH at
+//!   exit; load it at `chrome://tracing` or
 //!   <https://ui.perfetto.dev>. `XBOUND_TRACE=PATH` is the environment
 //!   spelling. Tracing never changes result bytes — only timings.
 //! * `-h`, `--help` — print the usage and exit.
@@ -67,11 +68,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use xbound_bench::cli::Args;
 use xbound_core::jsonout::JsonWriter;
 use xbound_core::{
     par, summary, BatchExploreStats, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem,
 };
+use xbound_obs::cli::Args;
 
 const USAGE: &str = "\
 usage: suite_summary [OPTIONS] [BENCH...]
@@ -81,7 +82,6 @@ summary line per benchmark.
 
 options:
   --oracle             run on the full-levelized evaluation engine
-  --compiled           run on the compiled evaluation engine
   --threads N          suite-level worker pool size (default: auto)
   --validate N         validate each analysis against N random concrete runs
   --lanes N            lane width of the batched validation runs
@@ -127,15 +127,10 @@ fn main() {
     let mut sweep_path: Option<String> = None;
     let mut sweep_corners = 0usize;
     let mut incremental = false;
-    let mut args = Args::from_env("suite");
+    let mut args = Args::from_env("suite", USAGE);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return;
-            }
             "--oracle" => std::env::set_var("XBOUND_SIM_ENGINE", "levelized"),
-            "--compiled" => std::env::set_var("XBOUND_SIM_ENGINE", "compiled"),
             "--incremental" => incremental = true,
             "--sweep" => sweep_path = Some(args.value(&a)),
             "--sweep-corners" => sweep_corners = args.number(&a),
@@ -187,9 +182,6 @@ fn main() {
     let suite_workers = par::resolve_threads(threads).min(benches.len().max(1));
     let lane_width = par::resolve_lanes(lanes);
     let explore_lane_width = par::resolve_explore_lanes(explore_lanes);
-    // One layer of parallelism at a time: when benchmarks already fan out
-    // across the pool, each analysis explores single-threaded.
-    let explore_threads = if suite_workers > 1 { 1 } else { 0 };
     let t_suite = Instant::now();
     let rows = par::par_map_labeled(
         suite_workers,
@@ -201,7 +193,6 @@ fn main() {
             let r = CoAnalysis::new(&sys)
                 .config(ExploreConfig {
                     widen_threshold: b.widen_threshold(),
-                    threads: explore_threads,
                     lanes: explore_lane_width,
                     ..ExploreConfig::suite_default()
                 })
@@ -286,10 +277,10 @@ fn main() {
 
     if let Some(path) = json_path {
         // Self-describing metadata first, then the per-benchmark timings
-        // and bounds plus the exploration's lane-occupancy /
-        // speculative-waste telemetry (scheduling-dependent; the bounds
-        // themselves are byte-identical at any lane width or thread
-        // count). Emitted through the shared `jsonout` writer.
+        // and bounds plus the exploration's lane-occupancy telemetry
+        // (lane-width dependent; the bounds themselves are byte-identical
+        // at any lane width or thread count). Emitted through the shared
+        // `jsonout` writer.
         let agg = rows.iter().filter_map(|r| r.explore.as_ref()).fold(
             xbound_core::BatchExploreStats::default(),
             |mut acc, b| {
@@ -305,10 +296,6 @@ fn main() {
         // The cached process-wide worker resolution for this run's
         // `--threads` knob (par::resolve_threads caches the auto path).
         w.field_u64("resolved_threads", par::resolve_threads(threads) as u64);
-        w.field_u64(
-            "explore_threads",
-            par::resolve_threads(explore_threads) as u64,
-        );
         w.field_u64("batch_lanes", lane_width as u64);
         w.field_u64("explore_lanes", explore_lane_width as u64);
         w.field_u64("validate_runs", validate_runs as u64);
@@ -316,18 +303,6 @@ fn main() {
         w.field_u64("explore_active_lane_cycles", agg.active_lane_cycles);
         w.field_u64("explore_idle_lane_cycles", agg.idle_lane_cycles);
         w.field_raw("explore_occupancy", &format!("{:.4}", agg.occupancy()));
-        // Work-stealing scheduler telemetry (scheduling-dependent, like
-        // the occupancy counters above).
-        w.field_u64("explore_steals", agg.steals);
-        w.field_u64("explore_steal_failures", agg.steal_failures);
-        w.field_u64("explore_idle_wakeups", agg.idle_wakeups);
-        w.field_u64("explore_max_speculation_depth", agg.max_speculation_depth);
-        w.key("explore_committed_cycles_per_worker");
-        w.begin_array();
-        for c in &agg.committed_cycles_per_worker {
-            w.u64_val(*c);
-        }
-        w.end_array();
         if let Some(m) = &memo {
             let s = m.stats();
             w.field_u64("memo_hits", s.hits);
@@ -344,8 +319,6 @@ fn main() {
             if let Some(b) = &row.explore {
                 w.field_u64("explore_gate_passes", b.gate_passes);
                 w.field_raw("explore_occupancy", &format!("{:.4}", b.occupancy()));
-                w.field_u64("explore_steals", b.steals);
-                w.field_u64("explore_max_speculation_depth", b.max_speculation_depth);
             }
             if let Some(bounds) = &row.bounds {
                 w.key("bounds");
@@ -424,8 +397,7 @@ fn sweep_mode(
     let suite_workers = par::resolve_threads(threads).min(benches.len().max(1));
     let explore_lane_width = par::resolve_explore_lanes(explore_lanes);
     // One layer of parallelism at a time: when benchmarks already fan out
-    // across the pool, each sweep explores single-threaded and bounds its
-    // corners serially.
+    // across the pool, each sweep bounds its corners serially.
     let inner_threads = if suite_workers > 1 { 1 } else { 0 };
     let t_suite = Instant::now();
     let rows = par::par_map_labeled(
@@ -437,7 +409,6 @@ fn sweep_mode(
             let program = b.program().unwrap();
             let config = ExploreConfig {
                 widen_threshold: b.widen_threshold(),
-                threads: inner_threads,
                 lanes: explore_lane_width,
                 ..ExploreConfig::suite_default()
             };

@@ -18,60 +18,6 @@ use xbound_baselines::stressmark::GaConfig;
 use xbound_benchsuite::Benchmark;
 use xbound_core::{Analysis, AnalysisError, CoAnalysis, ExploreConfig, UlpSystem};
 
-/// Command-line plumbing shared by the front-end binaries
-/// (`suite_summary`, `experiments`, `incremental_replay`): bad input
-/// prints one stderr line and exits with status 2 — never a panic, and
-/// before any analysis runs or any file is written.
-pub mod cli {
-    /// The process arguments (program name skipped) of one front end.
-    #[derive(Debug)]
-    pub struct Args {
-        tool: &'static str,
-        rest: std::env::Args,
-    }
-
-    impl Args {
-        /// The arguments of this process; `tool` names the front end in
-        /// its error lines.
-        pub fn from_env(tool: &'static str) -> Args {
-            let mut rest = std::env::args();
-            rest.next();
-            Args { tool, rest }
-        }
-
-        /// Prints `msg` as a one-line error and exits with status 2 (bad
-        /// command line).
-        pub fn fail(&self, msg: &str) -> ! {
-            xbound_obs::error!(self.tool, "{msg} (see --help)");
-            std::process::exit(2);
-        }
-
-        /// The value following `flag`; fails when the command line ends.
-        pub fn value(&mut self, flag: &str) -> String {
-            match self.rest.next() {
-                Some(v) => v,
-                None => self.fail(&format!("{flag} needs a value")),
-            }
-        }
-
-        /// The numeric value following `flag`; fails when it is missing
-        /// or not a non-negative integer.
-        pub fn number(&mut self, flag: &str) -> usize {
-            let v = self.value(flag);
-            v.parse()
-                .unwrap_or_else(|_| self.fail(&format!("bad value `{v}` for {flag}")))
-        }
-    }
-
-    impl Iterator for Args {
-        type Item = String;
-
-        fn next(&mut self) -> Option<String> {
-            self.rest.next()
-        }
-    }
-}
-
 /// Seed for every randomized experiment (reproducible runs).
 pub const SEED: u64 = 0xA5F0_2017;
 

@@ -7,32 +7,32 @@
 //! and a sibling test running concurrently in the same binary would
 //! race that ordering.
 
+use std::collections::{BTreeMap, BTreeSet};
 use xbound_core::jsonin::Json;
-use xbound_core::{summary, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem};
+use xbound_core::{par, summary, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem};
 
-/// Canonical full-suite bound lines at one `(threads, lanes)` setting —
-/// the exact bytes `suite_summary --bounds` writes.
+/// Canonical full-suite bound lines with the programs fanned out over
+/// `threads` suite workers, as `suite_summary` does — the exact bytes
+/// `suite_summary --bounds` writes.
 fn suite_bounds(sys: &UlpSystem, threads: usize, lanes: usize) -> String {
-    let mut out = String::new();
-    for bench in xbound_benchsuite::all() {
-        let program = bench.program().expect("assembles");
-        let a = CoAnalysis::new(sys)
-            .config(ExploreConfig {
-                widen_threshold: bench.widen_threshold(),
-                threads,
-                lanes,
-                ..ExploreConfig::suite_default()
-            })
-            .energy_rounds(bench.energy_rounds())
-            .run(&program)
-            .expect("analyzes");
-        out.push_str(&summary::bounds_line(
-            bench.name(),
-            &BoundsReport::from_analysis(&a),
-        ));
-        out.push('\n');
-    }
-    out
+    let lines = par::par_map(
+        threads,
+        xbound_benchsuite::all().iter().collect(),
+        |_, bench| {
+            let program = bench.program().expect("assembles");
+            let a = CoAnalysis::new(sys)
+                .config(ExploreConfig {
+                    widen_threshold: bench.widen_threshold(),
+                    lanes,
+                    ..ExploreConfig::suite_default()
+                })
+                .energy_rounds(bench.energy_rounds())
+                .run(&program)
+                .expect("analyzes");
+            summary::bounds_line(bench.name(), &BoundsReport::from_analysis(&a)) + "\n"
+        },
+    );
+    lines.concat()
 }
 
 #[test]
@@ -47,12 +47,9 @@ fn tracing_is_invisible_in_result_bytes_and_traces_are_well_formed() {
     let reference = suite_bounds(&sys, 1, 1);
 
     xbound_obs::trace::enable();
-    for (threads, lanes) in [(1, 1), (1, 8), (3, 1), (3, 8)] {
-        let traced = suite_bounds(&sys, threads, lanes);
-        assert_eq!(
-            traced, reference,
-            "traced bounds diverged at threads={threads} lanes={lanes}"
-        );
+    for lanes in [1, 8] {
+        let traced = suite_bounds(&sys, 3, lanes);
+        assert_eq!(traced, reference, "traced bounds diverged at lanes={lanes}");
     }
 
     // The runs above recorded real spans; now validate the exported
@@ -66,11 +63,11 @@ fn tracing_is_invisible_in_result_bytes_and_traces_are_well_formed() {
         .expect("traceEvents array");
     assert!(!events.is_empty());
 
-    // Per-event shape + collect per-tid spans and thread labels.
-    let mut spans: std::collections::BTreeMap<u64, Vec<(f64, f64)>> =
-        std::collections::BTreeMap::new();
-    let mut labels: Vec<String> = Vec::new();
-    let mut names: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+    // Per-event shape + collect per-tid spans, span names and labels.
+    let mut spans: BTreeMap<u64, Vec<(f64, f64)>> = BTreeMap::new();
+    let mut span_names: BTreeMap<u64, BTreeSet<String>> = BTreeMap::new();
+    let mut labels: BTreeMap<u64, String> = BTreeMap::new();
+    let mut names: BTreeSet<String> = BTreeSet::new();
     for e in events {
         let ph = e.get("ph").and_then(Json::as_str).expect("ph");
         let tid = e.get("tid").and_then(Json::as_u64).expect("tid");
@@ -84,13 +81,14 @@ fn tracing_is_invisible_in_result_bytes_and_traces_are_well_formed() {
                     .and_then(|a| a.get("name"))
                     .and_then(Json::as_str)
                     .expect("metadata label");
-                labels.push(label.to_string());
+                labels.insert(tid, label.to_string());
             }
             "X" => {
                 let ts = e.get("ts").and_then(Json::as_f64).expect("ts");
                 let dur = e.get("dur").and_then(Json::as_f64).expect("dur");
                 assert!(ts >= 0.0 && dur >= 0.0 && ts.is_finite() && dur.is_finite());
                 spans.entry(tid).or_default().push((ts, ts + dur));
+                span_names.entry(tid).or_default().insert(name.to_string());
                 names.insert(name.to_string());
             }
             "i" => {
@@ -106,16 +104,26 @@ fn tracing_is_invisible_in_result_bytes_and_traces_are_well_formed() {
     for expected in [
         "co_analysis",
         "explore",
+        "explore_batch",
         "peak_power_compose",
         "peak_energy",
     ] {
         assert!(names.contains(expected), "no `{expected}` span in trace");
     }
-    // The 3-thread runs ran the work-stealing pool: its workers must
-    // appear as labeled threads in the trace.
+    // The programs fanned out over the suite pool: its workers must
+    // appear as labeled threads, each carrying whole co-analyses.
+    let par_tids = labels
+        .iter()
+        .filter(|(tid, label)| {
+            label.starts_with("xbound-par-")
+                && span_names
+                    .get(tid)
+                    .is_some_and(|n| n.contains("co_analysis"))
+        })
+        .count();
     assert!(
-        labels.iter().any(|l| l.starts_with("explore-worker-")),
-        "no explore-worker thread label in {labels:?}"
+        par_tids >= 3,
+        "only {par_tids} xbound-par tids carry co_analysis spans: {labels:?}"
     );
 
     // Spans must nest properly per thread (sort by start, longest

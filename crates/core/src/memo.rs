@@ -16,8 +16,9 @@
 //!   [`ExploreConfig`] knob (`max_segment_cycles`, `max_total_cycles`,
 //!   `widen_threshold`, `reset_cycles`), the cell-library identifier, the
 //!   operating clock, and the codec version. `threads` and `lanes` are
-//!   deliberately **excluded** — path simulation is bit-identical at any
-//!   `(threads, lanes)` setting, so changing them must still hit;
+//!   deliberately **excluded** — the explorer ignores `threads`, and path
+//!   simulation is bit-identical at any lane width, so changing them must
+//!   still hit;
 //! * the **remaining-budget position** (`pre_frames`): the per-segment
 //!   cycle budget check reads `pre_frames + frames`, so the same state
 //!   can truncate differently at a different budget position;
@@ -135,7 +136,7 @@ impl Fnv {
 /// The context half of the memo key: every knob outside the machine
 /// state that can change what a path simulates to. `threads` and `lanes`
 /// are excluded on purpose — results are bit-identical at any setting,
-/// and re-analysis after a parallelism change must stay warm.
+/// and re-analysis after a lane-width change must stay warm.
 pub fn context_hash(config: &ExploreConfig, library: &str, clock_hz: f64) -> u64 {
     let mut h = Fnv::new();
     h.u64(CODEC_VERSION);
@@ -1207,9 +1208,8 @@ mod tests {
         let base = ExploreConfig::default();
         let h = |c: &ExploreConfig, lib: &str, hz: f64| context_hash(c, lib, hz);
         let reference = h(&base, "ulp65", 1e8);
-        // threads / lanes are scheduling, not results: same context.
+        // The lane width is scheduling, not results: same context.
         let mut c = base;
-        c.threads = 7;
         c.lanes = 16;
         assert_eq!(h(&c, "ulp65", 1e8), reference);
         // Every result-relevant knob and operating-point input changes it.

@@ -19,7 +19,7 @@ use crate::{Analysis, ExploreStats};
 /// The owned, serializable bounds of one co-analysis.
 ///
 /// Every field is deterministic: bit-identical at any `(threads, lanes)`
-/// setting (the scheduling-dependent [`crate::BatchExploreStats`]
+/// setting (the lane-width dependent [`crate::BatchExploreStats`]
 /// telemetry is deliberately excluded, so cached and fresh answers
 /// compare equal).
 #[derive(Debug, Clone, PartialEq)]

@@ -441,8 +441,8 @@ pub struct SweepAnalysis {
 /// (segment, base library) fan-out runs on `threads` workers (`0` = auto
 /// via [`par::resolve_threads`]).
 ///
-/// `config.threads`/`config.lanes` govern the shared exploration exactly
-/// as in [`crate::CoAnalysis`]; `threads` governs only Algorithm 2.
+/// `config.lanes` governs the shared exploration exactly as in
+/// [`crate::CoAnalysis`]; `threads` governs only Algorithm 2.
 /// Callers already running inside a worker pool should pass `threads = 1`
 /// ("one layer of parallelism at a time").
 ///

@@ -5,8 +5,8 @@
 //! re-analysis — of the unchanged program or of a one-instruction edit —
 //! produces results byte-identical to a cold, memo-less run, while
 //! re-simulating only the perturbed fetch cone. Invalidation must track
-//! result-relevant knobs exactly: `threads`/`lanes`/`energy_rounds`
-//! changes stay warm, everything in the context hash goes cold.
+//! result-relevant knobs exactly: `lanes`/`energy_rounds` changes stay
+//! warm, everything in the context hash goes cold.
 
 use std::sync::Arc;
 use xbound_cells::CellLibrary;
@@ -216,16 +216,15 @@ fn invalidation_matrix_tracks_result_relevant_knobs_only() {
     let seeded = memo.stats();
     assert!(seeded.misses > 0 && seeded.hits == 0);
 
-    // threads / lanes / energy_rounds are not result-relevant: warm.
+    // lanes / energy_rounds are not result-relevant: warm.
     let mut warm_cfg = base;
-    warm_cfg.threads = 2;
     warm_cfg.lanes = 4;
     let warm = run(warm_cfg, 7);
     let s = memo.stats();
-    assert!(s.hits > 0, "parallelism changes must stay warm");
+    assert!(s.hits > 0, "lane-width changes must stay warm");
     assert_eq!(
         s.misses, seeded.misses,
-        "no re-simulation at (threads=2, lanes=4, energy_rounds=7)"
+        "no re-simulation at (lanes=4, energy_rounds=7)"
     );
     // Exploration results are identical; only the energy-round budget
     // (deliberately varied) may move the energy figures.

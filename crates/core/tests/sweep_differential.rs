@@ -86,7 +86,6 @@ fn every_corner_matches_a_direct_single_corner_run_at_any_parallelism() {
     for threads in [1usize, 3] {
         for lanes in [1usize, 8] {
             let config = ExploreConfig {
-                threads,
                 lanes,
                 ..ExploreConfig::suite_default()
             };

@@ -32,7 +32,6 @@
 
 pub mod batch;
 mod frame;
-pub mod kernels;
 mod word;
 
 pub use batch::{BatchFrame, LaneVal, MAX_LANES};

@@ -20,9 +20,23 @@
 //! * every `--expect NAME` occurs as some event's name.
 //!
 //! On success prints one summary line: event/span/instant/tid counts and
-//! the dropped-event total.
+//! the dropped-event total. A bad command line exits 2; a trace that
+//! fails a check (or cannot be read) exits 1.
 
+use xbound_obs::cli::Args;
 use xbound_obs::jsonin::Json;
+
+const USAGE: &str = "\
+usage: trace_check TRACE.json [--min-tids N] [--expect NAME]...
+
+Validates a Chrome trace-event JSON file written by `--trace` or
+XBOUND_TRACE.
+
+options:
+  --min-tids N         require at least N event-carrying thread ids
+  --expect NAME        require an event named NAME (repeatable)
+  -h, --help           print this help
+";
 
 fn fail(msg: &str) -> ! {
     eprintln!("trace_check: {msg}");
@@ -33,22 +47,19 @@ fn main() {
     let mut path: Option<String> = None;
     let mut min_tids = 1usize;
     let mut expect: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env("trace_check", USAGE);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--min-tids" => {
-                min_tids = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("--min-tids N"));
-            }
-            "--expect" => expect.push(args.next().unwrap_or_else(|| fail("--expect NAME"))),
+            "--min-tids" => min_tids = args.number(&a),
+            "--expect" => expect.push(args.value(&a)),
+            other if other.starts_with('-') => args.fail(&format!("unknown option `{other}`")),
             other if path.is_none() => path = Some(other.to_string()),
-            other => fail(&format!("unexpected argument `{other}`")),
+            other => args.fail(&format!("unexpected argument `{other}`")),
         }
     }
-    let path = path
-        .unwrap_or_else(|| fail("usage: trace_check TRACE.json [--min-tids N] [--expect NAME]..."));
+    let Some(path) = path else {
+        args.fail("missing TRACE.json path");
+    };
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let doc = Json::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: not valid JSON: {e}")));

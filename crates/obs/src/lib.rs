@@ -2,8 +2,8 @@
 //! touching what the analyses compute.
 //!
 //! The co-analysis pipeline is a multi-stage concurrent system — a
-//! work-stealing symbolic explorer, memoized re-analysis, an
-//! operating-point sweep engine, and a TCP daemon — whose byte-identity
+//! batched symbolic explorer, memoized re-analysis, an operating-point
+//! sweep engine, and a TCP daemon — whose byte-identity
 //! contract forbids any timing-dependent output in result artifacts.
 //! This crate is the layer *outside* that contract:
 //!
@@ -14,7 +14,9 @@
 //!   behind one relaxed-atomic enabled check) exported as Chrome
 //!   trace-event JSON, loadable in Perfetto / `chrome://tracing`;
 //! * [`log`] — the `XBOUND_LOG` leveled key=value stderr logger behind
-//!   the workspace's progress and warning output.
+//!   the workspace's progress and warning output;
+//! * [`cli`] — the command-line parser of every front-end binary (usage
+//!   on `--help`, exit 2 on bad input).
 //!
 //! It is also the new home of the canonical JSON layer ([`jsonout`] /
 //! [`jsonin`]), moved down from `xbound_core` so every crate — including
@@ -29,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod jsonin;
 pub mod jsonout;
 pub mod log;

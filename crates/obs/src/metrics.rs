@@ -1,7 +1,7 @@
 //! Global metrics registry: named atomic counters, gauges, and
 //! fixed-bucket histograms.
 //!
-//! The workspace grew its telemetry ad hoc — explorer scheduling counters
+//! The workspace grew its telemetry ad hoc — explorer batching counters
 //! in `ExploreStats::batch`, memo hit/miss atomics, the service `stats`
 //! response, one-off `sweep:` lines. This module gives them one place to
 //! land: instruments are registered by name, updated with relaxed atomic
@@ -13,7 +13,7 @@
 //! once (typically in a `OnceLock` or at subsystem construction) and
 //! update the returned handle, which is a clone-cheap `Arc` around the
 //! atomic cell. Names use the Prometheus convention
-//! (`snake_case`, subsystem prefix, e.g. `xbound_explore_steals_total`).
+//! (`snake_case`, subsystem prefix, e.g. `xbound_explore_runs_total`).
 //!
 //! Nothing here feeds back into analysis results: the registry is
 //! observability-only and sits outside the byte-identity contract.

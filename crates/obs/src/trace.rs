@@ -10,9 +10,9 @@
 //! When enabled ([`enable`], or `XBOUND_TRACE=out.json` through
 //! [`init_from_env`]), each thread lazily registers a bounded event
 //! buffer (a ring: the newest [`THREAD_BUFFER_CAP`] events win, with a
-//! drop counter) tagged with a small integer `tid` and a label — either
-//! set explicitly with [`set_thread_label`] (the explorer names its
-//! pool workers) or taken from the OS thread name. [`write_chrome_trace`]
+//! drop counter) tagged with a small integer `tid` and a label taken
+//! from the OS thread name (`xbound-par-2` for a pool worker).
+//! [`write_chrome_trace`]
 //! drains every buffer into Chrome trace-event JSON (`X` complete events
 //! with microsecond timestamps, `i` instants, `M` thread-name metadata),
 //! loadable in Perfetto or `chrome://tracing`.
@@ -112,7 +112,7 @@ impl ThreadBuf {
 }
 
 /// Every thread buffer ever registered (kept alive past thread exit so
-/// scoped explorer workers survive until export).
+/// scoped pool workers survive until export).
 static ALL_BUFS: OnceLock<Mutex<Vec<Arc<Mutex<ThreadBuf>>>>> = OnceLock::new();
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -145,18 +145,6 @@ fn with_local(f: impl FnOnce(&mut ThreadBuf)) {
         });
         f(&mut buf.lock().expect("thread trace buffer"));
     });
-}
-
-/// Names the current thread's trace track (overrides the OS thread name
-/// in the exported `thread_name` metadata). The explorer labels its pool
-/// workers (`explore-worker-3`) and the driver (`explore-driver`) so
-/// Perfetto timelines are readable.
-pub fn set_thread_label(label: &str) {
-    if !enabled() {
-        return;
-    }
-    let owned = label.to_string();
-    with_local(|b| b.label = owned);
 }
 
 /// An RAII span: records one complete (`X`) event from construction to
@@ -210,7 +198,7 @@ pub fn span_args(
     }
 }
 
-/// Records a point-in-time (`i`) event (steal, commit, wakeup).
+/// Records a point-in-time (`i`) event (a fork or a commit).
 #[inline]
 pub fn instant(name: &'static str) {
     if !enabled() {
@@ -356,7 +344,6 @@ mod tests {
     #[test]
     fn spans_and_instants_round_trip_through_chrome_json() {
         enable();
-        set_thread_label("unit-test-thread");
         {
             let _outer = span("unit_outer");
             let _inner = span_args("unit_inner", || {

@@ -38,15 +38,121 @@
 //! Options: `--port N` (default 4517), `--addr HOST:PORT`,
 //! `--timeout S` (overall deadline for `wait`, default 30 s; polls with
 //! exponential backoff and exits non-zero on expiry; `--timeout-secs`
-//! is the accepted legacy spelling).
+//! is the accepted legacy spelling), `-h`/`--help`.
+//!
+//! The whole command line is checked before the client connects: an
+//! unknown option or command, or a missing or malformed value, prints one
+//! error line and exits 2. Failures at run time (an unreachable daemon, a
+//! `wait` timeout, a daemon error) exit 1.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+use xbound_obs::cli::Args;
 use xbound_service::json::Json;
 use xbound_service::protocol;
 
 const DEFAULT_PORT: u16 = 4517;
+
+const USAGE: &str = "\
+usage: xbound-client [OPTIONS] COMMAND [ARGS]
+
+Sends one request to a running xbound-serve daemon.
+
+commands:
+  analyze FILE.S       analyze an assembly file
+  suite [BENCH...]     analyze benchmarks (none = all 14), in suite order
+  sweep [BENCH...]     bound benchmarks at every operating-point corner
+  stats                print the daemon's telemetry line
+  metrics              print the daemon's metrics-registry snapshot
+  wait                 block until the daemon answers (readiness probe)
+  shutdown             ask the daemon to shut down cleanly
+
+options:
+  --port N             daemon port on 127.0.0.1 (default 4517)
+  --addr HOST:PORT     daemon address (overrides --port)
+  --timeout S          deadline of `wait` in seconds (default 30)
+  --corners N          sweep: only the first N corners of the grid
+  --watch SECS         stats: re-poll every SECS seconds and print rates
+  --prometheus         metrics: Prometheus text instead of JSON
+  -h, --help           print this help
+";
+
+/// One checked command line.
+enum Command {
+    Analyze(String),
+    Suite(Vec<String>),
+    Sweep { names: Vec<String>, corners: u64 },
+    Stats { watch: Option<u64> },
+    Metrics { prometheus: bool },
+    Wait { timeout_secs: u64 },
+    Shutdown,
+}
+
+/// Reads the daemon address and the command from the process arguments,
+/// failing with status 2 on bad input.
+fn parse_command_line() -> (String, Command) {
+    let mut args = Args::from_env("client", USAGE);
+    let mut addr: Option<String> = None;
+    let mut port = DEFAULT_PORT;
+    let mut timeout_secs = 30u64;
+    let mut corners: Option<u64> = None;
+    let mut watch: Option<u64> = None;
+    let mut prometheus = false;
+    let mut words: Vec<String> = Vec::new();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--addr" => addr = Some(args.value(&a)),
+            "--port" => port = args.number(&a),
+            "--timeout" | "--timeout-secs" => timeout_secs = args.number(&a),
+            "--corners" => corners = Some(args.number(&a)),
+            "--watch" => watch = Some(args.number(&a)),
+            "--prometheus" => prometheus = true,
+            other if other.starts_with('-') => args.fail(&format!("unknown option `{other}`")),
+            _ => words.push(a),
+        }
+    }
+    let addr = addr.unwrap_or_else(|| format!("127.0.0.1:{port}"));
+    let Some((name, operands)) = words.split_first() else {
+        args.fail("missing command");
+    };
+    let command = match name.as_str() {
+        "analyze" => match operands {
+            [file] => Command::Analyze(file.clone()),
+            _ => args.fail("analyze needs exactly one FILE.S"),
+        },
+        "suite" => Command::Suite(operands.to_vec()),
+        "sweep" => Command::Sweep {
+            names: operands.to_vec(),
+            corners: corners.unwrap_or(0),
+        },
+        "stats" => Command::Stats { watch },
+        "metrics" => Command::Metrics { prometheus },
+        "wait" => Command::Wait { timeout_secs },
+        "shutdown" => Command::Shutdown,
+        other => args.fail(&format!("unknown command `{other}`")),
+    };
+    for (given, flag, owner) in [
+        (corners.is_some(), "--corners", "sweep"),
+        (watch.is_some(), "--watch", "stats"),
+        (prometheus, "--prometheus", "metrics"),
+    ] {
+        if given && name != owner {
+            args.fail(&format!("{flag} applies only to `{owner}`"));
+        }
+    }
+    if watch == Some(0) {
+        args.fail("--watch needs a positive number of seconds");
+    }
+    let takes_operands = matches!(
+        command,
+        Command::Analyze(_) | Command::Suite(_) | Command::Sweep { .. }
+    );
+    if let (false, Some(extra)) = (takes_operands, operands.first()) {
+        args.fail(&format!("unexpected argument `{extra}` for `{name}`"));
+    }
+    (addr, command)
+}
 
 struct Conn {
     reader: BufReader<TcpStream>,
@@ -104,55 +210,25 @@ fn check_version(response: &Json) {
 }
 
 fn main() {
-    let mut addr: Option<String> = None;
-    let mut port = DEFAULT_PORT;
-    let mut timeout_secs = 30u64;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-        };
-        match a.as_str() {
-            "--addr" => addr = Some(value("--addr")),
-            "--port" => {
-                port = value("--port")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --port"));
-            }
-            "--timeout" | "--timeout-secs" => {
-                timeout_secs = value(&a).parse().unwrap_or_else(|_| fail("bad --timeout"));
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    let addr = addr.unwrap_or_else(|| format!("127.0.0.1:{port}"));
-    let Some((command, cmd_args)) = rest.split_first() else {
-        fail("usage: xbound-client [--port N | --addr HOST:PORT] analyze|suite|sweep|stats|metrics|wait|shutdown [ARGS]");
-    };
-    match command.as_str() {
-        "analyze" => {
-            let [file] = cmd_args else {
-                fail("usage: xbound-client analyze FILE.S");
-            };
-            let source = std::fs::read_to_string(file)
+    let (addr, command) = parse_command_line();
+    match command {
+        Command::Analyze(file) => {
+            let source = std::fs::read_to_string(&file)
                 .unwrap_or_else(|e| fail(&format!("read {file}: {e}")));
             let response = roundtrip(&addr, &protocol::analyze_source_request(&source));
             check_ok(&response);
             println!("{response}");
         }
-        "suite" => suite(&addr, cmd_args),
-        "sweep" => sweep(&addr, cmd_args),
-        "stats" => stats(&addr, cmd_args),
-        "metrics" => metrics(&addr, cmd_args),
-        "wait" => wait_ready(&addr, timeout_secs),
-        "shutdown" => {
+        Command::Suite(names) => suite(&addr, &names),
+        Command::Sweep { names, corners } => sweep(&addr, &names, corners),
+        Command::Stats { watch } => stats(&addr, watch),
+        Command::Metrics { prometheus } => metrics(&addr, prometheus),
+        Command::Wait { timeout_secs } => wait_ready(&addr, timeout_secs),
+        Command::Shutdown => {
             let response = roundtrip(&addr, &protocol::op_request("shutdown"));
             check_ok(&response);
             println!("{response}");
         }
-        other => fail(&format!("unknown command `{other}`")),
     }
 }
 
@@ -160,23 +236,7 @@ fn main() {
 /// telemetry line; watch mode re-polls and prints a delta view
 /// (per-second rates over the interval) until the process is killed or
 /// the daemon goes away.
-fn stats(addr: &str, cmd_args: &[String]) {
-    let mut watch: Option<u64> = None;
-    let mut it = cmd_args.iter();
-    while let Some(a) = it.next() {
-        if a == "--watch" {
-            let secs: u64 = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| fail("--watch needs a positive number of seconds"));
-            if secs == 0 {
-                fail("--watch needs a positive number of seconds");
-            }
-            watch = Some(secs);
-        } else {
-            fail(&format!("unknown stats option `{a}`"));
-        }
-    }
+fn stats(addr: &str, watch: Option<u64>) {
     let Some(secs) = watch else {
         let response = roundtrip(addr, &protocol::op_request("stats"));
         check_ok(&response);
@@ -226,14 +286,7 @@ fn stats(addr: &str, cmd_args: &[String]) {
 /// `metrics [--prometheus]`: print the daemon's metrics-registry
 /// snapshot (the canonical JSON response line, or the unescaped
 /// Prometheus text with `--prometheus`).
-fn metrics(addr: &str, cmd_args: &[String]) {
-    let mut prometheus = false;
-    for a in cmd_args {
-        match a.as_str() {
-            "--prometheus" => prometheus = true,
-            other => fail(&format!("unknown metrics option `{other}`")),
-        }
-    }
+fn metrics(addr: &str, prometheus: bool) {
     let response = roundtrip(addr, &protocol::metrics_request(prometheus));
     check_ok(&response);
     let v = Json::parse(&response).unwrap_or_else(|e| fail(&format!("bad response: {e}")));
@@ -353,21 +406,8 @@ fn suite(addr: &str, names: &[String]) {
 /// per-completion, corners in grid order within each; we reorder the
 /// benchmarks) and writes one bound-vs-corner curve JSON per benchmark
 /// under `<results dir>/sweeps/`.
-fn sweep(addr: &str, cmd_args: &[String]) {
-    let mut corners = 0u64;
-    let mut names: Vec<String> = Vec::new();
-    let mut it = cmd_args.iter();
-    while let Some(a) = it.next() {
-        if a == "--corners" {
-            corners = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| fail("--corners needs a non-negative integer"));
-        } else {
-            names.push(a.clone());
-        }
-    }
-    let order = canonical_order(&names);
+fn sweep(addr: &str, names: &[String], corners: u64) {
+    let order = canonical_order(names);
     let mut conn = Conn::open(addr).unwrap_or_else(|e| fail(&format!("connect {addr}: {e}")));
     conn.send(&protocol::sweep_request(&order, corners))
         .unwrap_or_else(|e| fail(&format!("request failed: {e}")));

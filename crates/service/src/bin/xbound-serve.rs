@@ -30,6 +30,7 @@
 //! JSON file on clean shutdown; `XBOUND_LOG` sets the stderr log level.
 
 use std::io::Write as _;
+use xbound_obs::cli::Args;
 use xbound_service::{Server, ServiceConfig};
 
 /// Default TCP port (unassigned range; "x" + the paper year).
@@ -59,33 +60,18 @@ fn main() {
         port: DEFAULT_PORT,
         ..ServiceConfig::default()
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env("serve", USAGE);
     while let Some(a) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                xbound_obs::error!("serve", "{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
         match a.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return;
-            }
-            "--port" => config.port = parse(&value("--port"), "--port"),
-            "--host" => config.host = value("--host"),
-            "--cache-dir" => config.cache_dir = Some(value("--cache-dir").into()),
+            "--port" => config.port = args.number(&a),
+            "--host" => config.host = args.value(&a),
+            "--cache-dir" => config.cache_dir = Some(args.value(&a).into()),
             "--no-disk-cache" => config.disk_cache = false,
-            "--workers" => config.workers = parse(&value("--workers"), "--workers"),
-            "--conns" => config.conns = parse(&value("--conns"), "--conns"),
-            "--cache-capacity" => {
-                config.cache_capacity = parse(&value("--cache-capacity"), "--cache-capacity");
-            }
-            "--queue" => config.queue_capacity = parse(&value("--queue"), "--queue"),
-            other => {
-                xbound_obs::error!("serve", "unknown option `{other}`");
-                std::process::exit(2);
-            }
+            "--workers" => config.workers = args.number(&a),
+            "--conns" => config.conns = args.number(&a),
+            "--cache-capacity" => config.cache_capacity = args.number(&a),
+            "--queue" => config.queue_capacity = args.number(&a),
+            other => args.fail(&format!("unknown option `{other}`")),
         }
     }
     let server = match Server::start(config) {
@@ -115,11 +101,4 @@ fn main() {
         }
     }
     println!("xbound-serve: shut down cleanly");
-}
-
-fn parse<T: std::str::FromStr>(v: &str, flag: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        xbound_obs::error!("serve", "bad value `{v}` for {flag}");
-        std::process::exit(2);
-    })
 }

@@ -40,8 +40,10 @@ pub const DEFAULT_ENERGY_ROUNDS: u64 = 10_000;
 /// Protocol revision, bumped whenever the wire format gains or changes
 /// an op or response field. Carried (with the crate version) in the
 /// `version` field of `stats`/`metrics` responses so clients can warn on
-/// daemon/client drift.
-pub const PROTOCOL_REV: u32 = 2;
+/// daemon/client drift. Rev 3 dropped the four `explore_*` scheduling
+/// fields of `stats` (`explore_steals`, `explore_steal_failures`,
+/// `explore_idle_wakeups`, `explore_max_speculation_depth`).
+pub const PROTOCOL_REV: u32 = 3;
 
 /// The `version` string stamped into `stats`/`metrics` responses and
 /// compared by `xbound-client`: `<crate-version>+p<protocol-rev>`.

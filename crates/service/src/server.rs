@@ -455,14 +455,6 @@ impl Service {
         w.field_u64("memo_stitched_segments", memo.stitched_segments);
         w.field_u64("memo_power_hits", memo.power_hits);
         w.field_u64("memo_power_misses", memo.power_misses);
-        // Work-stealing explorer telemetry, accumulated over fresh analyses.
-        // All zero on a multi-worker daemon: each analysis then explores
-        // single-threaded and the daemon parallelises across requests.
-        let et = self.scheduler.explore_telemetry();
-        w.field_u64("explore_steals", et.steals);
-        w.field_u64("explore_steal_failures", et.steal_failures);
-        w.field_u64("explore_idle_wakeups", et.idle_wakeups);
-        w.field_u64("explore_max_speculation_depth", et.max_speculation_depth);
         w.field_u64("requests", self.requests.load(Ordering::Relaxed));
         match self.cache.dir() {
             Some(d) => w.field_str("cache_dir", &d.display().to_string()),

@@ -51,7 +51,6 @@
 
 #![warn(missing_docs)]
 
-mod compiled;
 pub mod engine;
 
 pub use engine::{BatchMachineState, Engine, Lanes, Scalar, Wide};
@@ -94,18 +93,11 @@ pub enum EvalMode {
     /// Retained as the differential-testing oracle; select globally with
     /// `XBOUND_SIM_ENGINE=levelized`.
     Levelized,
-    /// Compiled backend: the netlist is levelized once, structurally
-    /// identical logic cones are hash-consed into shared value classes, and
-    /// the result is a flat SoA bytecode program of word-wise
-    /// [`xbound_logic::LaneVal`] ops executed by a tight per-kind run loop —
-    /// no per-gate dispatch, no fanout-index chasing. Select globally with
-    /// `XBOUND_SIM_ENGINE=compiled`.
-    Compiled,
 }
 
 impl EvalMode {
     /// Every value `XBOUND_SIM_ENGINE` accepts, for error messages.
-    pub const ACCEPTED: &'static str = "event, event-driven, levelized, oracle, compiled";
+    pub const ACCEPTED: &'static str = "event, event-driven, levelized, oracle";
 
     /// Parses an `XBOUND_SIM_ENGINE` value (case-insensitive).
     ///
@@ -118,8 +110,6 @@ impl EvalMode {
             Ok(EvalMode::EventDriven)
         } else if s.eq_ignore_ascii_case("levelized") || s.eq_ignore_ascii_case("oracle") {
             Ok(EvalMode::Levelized)
-        } else if s.eq_ignore_ascii_case("compiled") {
-            Ok(EvalMode::Compiled)
         } else {
             Err(format!(
                 "unknown XBOUND_SIM_ENGINE value {s:?}; accepted values: {}",
@@ -134,7 +124,6 @@ impl EvalMode {
         match self {
             EvalMode::EventDriven => "event-driven",
             EvalMode::Levelized => "levelized",
-            EvalMode::Compiled => "compiled",
         }
     }
 
@@ -304,8 +293,8 @@ impl std::error::Error for SimError {}
 
 /// Snapshot of all architectural simulator state (flip-flops + memories).
 ///
-/// Used by the symbolic explorer for DFS over the execution tree and for
-/// memoization keys (see [`MachineState::content_hash`]).
+/// Used by the symbolic explorer for DFS over the execution tree; its
+/// flip-flop vector also keys the explorer's subtree memo.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineState {
     ffs: Vec<Lv>,
@@ -335,25 +324,6 @@ impl MachineState {
     /// Memory contents, `[region][word]`, in the engine's region order.
     pub fn mems(&self) -> &[Vec<XWord>] {
         &self.mems
-    }
-
-    /// 64-bit content hash over flip-flops and memories (cycle excluded),
-    /// usable as a memoization key.
-    pub fn content_hash(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        for v in &self.ffs {
-            mix(v.code() as u64 + 1);
-        }
-        for m in &self.mems {
-            for w in m {
-                mix(((w.val_plane() as u64) << 16) | w.unk_plane() as u64 | 1 << 40);
-            }
-        }
-        h
     }
 
     /// Lattice subsumption: `self` covers `other` when every flip-flop and
@@ -593,8 +563,6 @@ mod tests {
             ("levelized", EvalMode::Levelized),
             ("oracle", EvalMode::Levelized),
             ("Oracle", EvalMode::Levelized),
-            ("compiled", EvalMode::Compiled),
-            ("COMPILED", EvalMode::Compiled),
         ] {
             assert_eq!(EvalMode::parse(s), Ok(want), "spelling {s:?}");
         }
@@ -602,7 +570,7 @@ mod tests {
 
     #[test]
     fn eval_mode_parse_rejects_unknown_values_listing_accepted() {
-        for bad in ["", "compile", "evnt", "levelised", "fast", "0"] {
+        for bad in ["", "compiled", "evnt", "levelised", "fast", "0"] {
             let err = EvalMode::parse(bad).expect_err("must be a hard error");
             assert!(err.contains(&format!("{bad:?}")), "names the value: {err}");
             assert!(
@@ -803,9 +771,9 @@ mod tests {
             sim.step();
         }
         let later = sim.machine_state();
-        assert_ne!(snap.content_hash(), later.content_hash());
+        assert_ne!(snap.ffs(), later.ffs());
         sim.set_machine_state(&snap);
-        assert_eq!(sim.machine_state().content_hash(), snap.content_hash());
+        assert_eq!(sim.machine_state(), snap);
         assert_eq!(sim.cycle(), snap.cycle());
     }
 
