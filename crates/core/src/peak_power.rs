@@ -16,9 +16,11 @@
 //! power requirement is the maximum of that trace (paper Fig 10 / §3.2).
 
 use crate::tree::{ExecutionTree, SegmentEnd, SegmentId};
+use std::ops::Range;
 use xbound_cells::CellLibrary;
-use xbound_logic::{Frame, Lv};
-use xbound_netlist::{NetId, Netlist};
+use xbound_logic::{lanes_to_bitsets, Frame, Lv};
+use xbound_netlist::{CellKind, NetId, Netlist};
+use xbound_obs::trace;
 use xbound_power::{EnergyTrace, PowerAnalyzer, PowerTrace};
 
 /// Cycle parity an assignment maximizes.
@@ -123,8 +125,9 @@ fn set_bit(words: &mut [u64], i: usize) {
     words[i / 64] |= 1 << (i % 64);
 }
 
-/// Word-packed form of [`stability`] into a reusable bitset buffer — the
-/// per-cycle-pair kernel of Algorithm 2.
+/// Word-packed form of [`stability`] into a reusable bitset buffer, one
+/// cycle pair at a time — the scalar oracle for the block kernel that
+/// Algorithm 2 runs ([`BlockStability`]).
 ///
 /// The dominant rule ("concrete and equal in both frames") is computed for
 /// every net at once with word-wide bit math over the packed frames; the
@@ -145,8 +148,8 @@ pub fn stability_words_into(nl: &Netlist, prev: &Frame, cur: &Frame, stable: &mu
         }
         let v = |k: usize| prev.get(gate.inputs()[k].index());
         let held = match gate.kind() {
-            xbound_netlist::CellKind::Dffe => v(1) == Lv::Zero,
-            xbound_netlist::CellKind::Dffre => v(1) == Lv::Zero && v(2) == Lv::One,
+            CellKind::Dffe => v(1) == Lv::Zero,
+            CellKind::Dffre => v(1) == Lv::Zero && v(2) == Lv::One,
             _ => false,
         };
         if held {
@@ -161,10 +164,7 @@ pub fn stability_words_into(nl: &Netlist, prev: &Frame, cur: &Frame, stable: &mu
         if bit(stable, out) {
             continue;
         }
-        let ok = if matches!(
-            gate.kind(),
-            xbound_netlist::CellKind::Tie0 | xbound_netlist::CellKind::Tie1
-        ) {
+        let ok = if matches!(gate.kind(), CellKind::Tie0 | CellKind::Tie1) {
             true
         } else {
             gate.kind().input_count() > 0 && gate.inputs().iter().all(|n| bit(stable, n.index()))
@@ -234,117 +234,319 @@ impl MaxTransitions {
     }
 }
 
-/// Reusable per-segment scratch for the assignment kernel: the stability
-/// bitset and its all-zero stand-in for the ablation path.
-struct AssignScratch {
-    st: Vec<u64>,
-    no_stability: Vec<u64>,
-}
-
-impl AssignScratch {
-    fn new(nl: &Netlist) -> AssignScratch {
-        AssignScratch {
-            st: Vec::new(),
-            no_stability: vec![0u64; nl.net_count().div_ceil(64)],
-        }
-    }
-}
-
 /// One segment's resolved frames for one parity: the resolved
 /// boundary-previous frame (parent's last frame, private copy) and the
 /// resolved segment frames.
 pub(crate) type SegmentFrames = (Option<Frame>, Vec<Frame>);
 
-/// Resolves one segment's Xs for both parities, even first — the
-/// per-segment assignment kernel of Algorithm 2, shared by
-/// [`assign_tree`] and the streamed [`crate::sweep::bound_tree`].
+/// Cycle pairs per stability block: one bit per pair in a `u64` lane.
+const BLOCK: usize = 64;
+
+/// [`stability`] for up to 64 cycle pairs per topological pass — the block
+/// kernel of Algorithm 2.
 ///
-/// Segment-boundary pairs use a private copy of the parent's last frame
-/// so sibling paths cannot constrain each other (keeps the bound sound
-/// for every path independently). Pairs proved stable by [`stability`]
-/// are held (no transition charged) unless `use_stability` is off (the
-/// ablation: the paper's literal maximizing assignment); the rest follow
-/// the paper's maximizing assignment. Frames come from
-/// [`merge_adjusted_frames`], which makes the bound valid for paths that
-/// re-enter a segment through a memoization merge.
+/// Stability is a monotone boolean propagation, so 64 pairs pack into one
+/// `u64` per net, bit `k` for pair `k`
+/// ([`Frame::known_equal_lanes_into`]): the held-flip-flop rule ORs a
+/// word into each register output, and one pass over the combinational
+/// gates in topological order ANDs each gate's input words into its
+/// output word. [`lanes_to_bitsets`] turns the words back into one
+/// bitset per pair, each equal to [`stability_words_into`] of that pair
+/// wherever the pair sits in the block.
 ///
-/// The result depends only on the segment's adjusted frames, its parent's
-/// adjusted last frame, the segment's start-cycle parity, and the table —
-/// which is what makes the segment-power cache
-/// ([`crate::memo::SegmentPowerCache`]) sound.
-pub(crate) fn assign_segment_pair(
-    nl: &Netlist,
-    tree: &ExecutionTree,
-    adjusted: &[Vec<Frame>],
-    si: usize,
-    use_stability: bool,
-    tr: &MaxTransitions,
-) -> (SegmentFrames, SegmentFrames) {
-    let mut st = AssignScratch::new(nl);
-    let mut resolve =
-        |parity| assign_segment(nl, tree, adjusted, si, parity, use_stability, tr, &mut st);
-    (resolve(Parity::Even), resolve(Parity::Odd))
+/// Building the kernel flattens the netlist once; reuse it for every
+/// block of a tree.
+#[derive(Debug, Clone)]
+pub struct BlockStability {
+    nets: usize,
+    /// Tie-cell outputs: stable in every pair.
+    ties: Vec<u32>,
+    /// The other combinational gates in topological order:
+    /// `[output, a, b, c]`, with a short input list padded by repeating
+    /// its last net.
+    comb: Vec<[u32; 4]>,
+    /// The distinct enable and reset nets the held-flip-flop rule reads.
+    ctrl: Vec<u32>,
+    /// Per `Dffe`/`Dffre`: `[output, enable-known-0 slot,
+    /// reset-known-1 slot]` into the per-block control words, where slot
+    /// `2j` is "control net `j` known 0", `2j + 1` "known 1", and the last
+    /// slot is all ones (a `Dffe` has no reset).
+    held: Vec<[u32; 3]>,
 }
 
-/// [`assign_segment_pair`] for one parity.
-#[allow(clippy::too_many_arguments)]
-fn assign_segment(
-    nl: &Netlist,
+impl BlockStability {
+    /// Flattens `nl` for the block kernel.
+    pub fn new(nl: &Netlist) -> BlockStability {
+        let mut ties = Vec::new();
+        let mut comb = Vec::with_capacity(nl.topo_order().len());
+        for &g in nl.topo_order() {
+            let gate = nl.gate(g);
+            let out = gate.output().0;
+            match gate.inputs() {
+                [] => ties.push(out),
+                ins => {
+                    let pin = |k: usize| ins[k.min(ins.len() - 1)].0;
+                    comb.push([out, pin(0), pin(1), pin(2)]);
+                }
+            }
+        }
+        let mut ctrl: Vec<u32> = Vec::new();
+        let mut slot = |net: NetId| -> u32 {
+            let j = match ctrl.iter().position(|&c| c == net.0) {
+                Some(j) => j,
+                None => {
+                    ctrl.push(net.0);
+                    ctrl.len() - 1
+                }
+            };
+            2 * j as u32
+        };
+        let mut held = Vec::new();
+        for &g in nl.sequential_gates() {
+            let gate = nl.gate(g);
+            let ins = gate.inputs();
+            let (en_zero, rst_one) = match gate.kind() {
+                CellKind::Dffe => (slot(ins[1]), None),
+                CellKind::Dffre => (slot(ins[1]), Some(slot(ins[2]) + 1)),
+                _ => continue,
+            };
+            held.push((gate.output().0, en_zero, rst_one));
+        }
+        let always = 2 * ctrl.len() as u32;
+        let held = held
+            .into_iter()
+            .map(|(q, en_zero, rst_one)| [q, en_zero, rst_one.unwrap_or(always)])
+            .collect();
+        BlockStability {
+            nets: nl.net_count(),
+            ties,
+            comb,
+            ctrl,
+            held,
+        }
+    }
+
+    /// The stable sets of up to 64 `(previous, current)` frame pairs:
+    /// `out` is resized to `pairs.len()` bitsets, and `out[k]` equals
+    /// [`stability_words_into`] of `pairs[k]`, bits past the net count
+    /// zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pairs` is empty or longer than 64, or if a frame's
+    /// length is not the netlist's net count.
+    pub fn stability_into(&self, pairs: &[(&Frame, &Frame)], out: &mut Vec<Vec<u64>>) {
+        assert!(
+            pairs.iter().all(|(p, _)| p.len() == self.nets),
+            "frames must cover the netlist"
+        );
+        let mut lanes = Vec::new();
+        Frame::known_equal_lanes_into(pairs, &mut lanes);
+        // Held flip-flops: the enable (and reset) of each pair's earlier
+        // frame, one word per control net and value.
+        let mut known = vec![0u64; 2 * self.ctrl.len() + 1];
+        known[2 * self.ctrl.len()] = u64::MAX;
+        for (k, (prev, _)) in pairs.iter().enumerate() {
+            for (j, &net) in self.ctrl.iter().enumerate() {
+                match prev.get(net as usize) {
+                    Lv::Zero => known[2 * j] |= 1 << k,
+                    Lv::One => known[2 * j + 1] |= 1 << k,
+                    Lv::X => {}
+                }
+            }
+        }
+        for &[q, en_zero, rst_one] in &self.held {
+            lanes[q as usize] |= known[en_zero as usize] & known[rst_one as usize];
+        }
+        // Combinational determinism, in topological order.
+        for &t in &self.ties {
+            lanes[t as usize] = u64::MAX;
+        }
+        for &[y, a, b, c] in &self.comb {
+            lanes[y as usize] |= lanes[a as usize] & lanes[b as usize] & lanes[c as usize];
+        }
+        out.resize_with(pairs.len(), Vec::new);
+        lanes_to_bitsets(&lanes, self.nets, out);
+    }
+}
+
+/// What Algorithm 2's assignment reads from one tree, prepared once per
+/// tree: the merge-adjusted frames, each segment's X-bearing cycle pairs,
+/// and the block stability kernel (`None` for the ablation).
+pub(crate) struct AssignPlan<'t> {
+    tree: &'t ExecutionTree,
+    adjusted: &'t [Vec<Frame>],
+    /// Per segment, the in-segment cycles `ci` whose pair (previous
+    /// frame, frame `ci`) holds an X; cycle 0 pairs with the parent's
+    /// adjusted last frame, and the root's cycle 0 has no pair.
+    x_pairs: Vec<Vec<usize>>,
+    stability: Option<BlockStability>,
+    no_stability: Vec<u64>,
+}
+
+impl<'t> AssignPlan<'t> {
+    /// Prepares the assignment of `tree` over its adjusted frames.
+    pub(crate) fn new(
+        nl: &Netlist,
+        tree: &'t ExecutionTree,
+        adjusted: &'t [Vec<Frame>],
+        use_stability: bool,
+    ) -> AssignPlan<'t> {
+        let x_pairs = (0..adjusted.len())
+            .map(|si| {
+                let boundary_x = boundary(tree, adjusted, si).map(|b| b.x_count() > 0);
+                let has_x: Vec<bool> = adjusted[si].iter().map(|f| f.x_count() > 0).collect();
+                (0..has_x.len())
+                    .filter(|&ci| {
+                        let prev_x = if ci == 0 {
+                            boundary_x
+                        } else {
+                            Some(has_x[ci - 1])
+                        };
+                        prev_x.is_some_and(|p| p || has_x[ci])
+                    })
+                    .collect()
+            })
+            .collect();
+        AssignPlan {
+            tree,
+            adjusted,
+            x_pairs,
+            stability: use_stability.then(|| BlockStability::new(nl)),
+            no_stability: vec![0u64; nl.net_count().div_ceil(64)],
+        }
+    }
+
+    /// The fan-out units of Algorithm 2: runs of consecutive segments, in
+    /// index order, holding at most 64 X-bearing pairs, so that short
+    /// segments share a stability block. A segment with more pairs is a
+    /// unit of its own.
+    pub(crate) fn units(&self) -> Vec<Range<usize>> {
+        let mut units = Vec::new();
+        let (mut start, mut pairs) = (0, 0);
+        for (si, p) in self.x_pairs.iter().enumerate() {
+            if si > start && pairs + p.len() > BLOCK {
+                units.push(start..si);
+                (start, pairs) = (si, 0);
+            }
+            pairs += p.len();
+        }
+        if start < self.x_pairs.len() {
+            units.push(start..self.x_pairs.len());
+        }
+        units
+    }
+
+    /// The pre-assignment frames of one X-bearing pair.
+    fn pair(&self, si: usize, ci: usize) -> (&'t Frame, &'t Frame) {
+        let frames = &self.adjusted[si];
+        let prev = match ci {
+            0 => boundary(self.tree, self.adjusted, si).expect("cycle 0 pairs need a boundary"),
+            _ => &frames[ci - 1],
+        };
+        (prev, &frames[ci])
+    }
+
+    /// Resolves the Xs of segments `segs` (ascending) for both parities —
+    /// the assignment kernel of Algorithm 2, shared by [`assign_tree`] and
+    /// the streamed [`crate::sweep::bound_tree`]. Returns each segment's
+    /// `(even, odd)` frames.
+    ///
+    /// Segment-boundary pairs use a private copy of the parent's last
+    /// frame so sibling paths cannot constrain each other (keeps the
+    /// bound sound for every path independently). Pairs proved stable
+    /// ([`stability`]) are held (no transition charged) unless the plan
+    /// is the ablation (the paper's literal maximizing assignment); the
+    /// rest follow the paper's maximizing assignment. Frames come from
+    /// [`merge_adjusted_frames`], which makes the bound valid for paths
+    /// that re-enter a segment through a memoization merge.
+    ///
+    /// Both parities read the same pre-assignment frames, so each
+    /// X-bearing pair's stable set is computed once, in blocks of 64
+    /// pairs that run across segment boundaries, and serves the parity
+    /// its cycle belongs to. Pairs of one parity touch disjoint frames,
+    /// so the order of assignment cannot matter.
+    ///
+    /// A segment's result depends only on its adjusted frames, its
+    /// parent's adjusted last frame, its start-cycle parity, and the
+    /// table, whatever else shares its blocks — which is what makes the
+    /// segment-power cache ([`crate::memo::SegmentPowerCache`]) sound.
+    pub(crate) fn assign(
+        &self,
+        segs: &[usize],
+        tr: &MaxTransitions,
+    ) -> Vec<(SegmentFrames, SegmentFrames)> {
+        let mut copies: Vec<(SegmentFrames, SegmentFrames)> = {
+            let _span = trace::span("alg2_assign");
+            segs.iter()
+                .map(|&si| {
+                    let copy = (
+                        boundary(self.tree, self.adjusted, si).cloned(),
+                        self.adjusted[si].clone(),
+                    );
+                    (copy.clone(), copy)
+                })
+                .collect()
+        };
+        let pairs: Vec<(usize, usize)> = segs
+            .iter()
+            .enumerate()
+            .flat_map(|(slot, &si)| self.x_pairs[si].iter().map(move |&ci| (slot, ci)))
+            .collect();
+        let mut stable_sets = Vec::new();
+        for block in pairs.chunks(BLOCK) {
+            if let Some(kernel) = &self.stability {
+                let _span = trace::span("alg2_stability");
+                let frames: Vec<(&Frame, &Frame)> = block
+                    .iter()
+                    .map(|&(slot, ci)| self.pair(segs[slot], ci))
+                    .collect();
+                kernel.stability_into(&frames, &mut stable_sets);
+            }
+            let _span = trace::span("alg2_assign");
+            for (k, &(slot, ci)) in block.iter().enumerate() {
+                let stable = match self.stability {
+                    Some(_) => &stable_sets[k][..],
+                    None => &self.no_stability[..],
+                };
+                let (even, odd) = &mut copies[slot];
+                let gc = self.tree.segments()[segs[slot]].global_cycle(ci);
+                let (boundary, frames) = if Parity::Even.matches(gc) { even } else { odd };
+                let (prev, cur) = match ci {
+                    0 => (
+                        boundary.as_mut().expect("pair has a boundary"),
+                        &mut frames[0],
+                    ),
+                    _ => {
+                        let (a, b) = frames.split_at_mut(ci);
+                        (&mut a[ci - 1], &mut b[0])
+                    }
+                };
+                Frame::assign_x_pair(prev, cur, stable, &tr.first, &tr.second);
+            }
+        }
+        // Leftover Xs (off-parity positions and cycle 0) hold 0: their
+        // cycles are discarded by the interleaving.
+        let _span = trace::span("alg2_assign");
+        for (boundary, frames) in copies.iter_mut().flat_map(|(e, o)| [e, o]) {
+            for f in boundary.iter_mut().chain(frames) {
+                f.resolve_x_to_zero();
+            }
+        }
+        copies
+    }
+}
+
+/// The boundary-previous frame of segment `si`: its parent's adjusted
+/// last frame.
+pub(crate) fn boundary<'a>(
     tree: &ExecutionTree,
-    adjusted: &[Vec<Frame>],
+    adjusted: &'a [Vec<Frame>],
     si: usize,
-    parity: Parity,
-    use_stability: bool,
-    tr: &MaxTransitions,
-    scratch: &mut AssignScratch,
-) -> SegmentFrames {
-    let seg = &tree.segments()[si];
-    // Boundary-previous frame: the parent's (adjusted) last frame.
-    let mut boundary = seg
+) -> Option<&'a Frame> {
+    tree.segments()[si]
         .parent
-        .and_then(|(pid, _)| adjusted[pid.index()].last().cloned());
-    let orig = &adjusted[si];
-    let mut frames: Vec<Frame> = orig.clone();
-    for ci in 0..frames.len() {
-        let gc = seg.global_cycle(ci);
-        if !parity.matches(gc) || (ci == 0 && boundary.is_none()) {
-            continue;
-        }
-        // Stability is computed on the *pre-assignment* frames; a pair
-        // with no X anywhere needs neither stability nor resolution.
-        let orig_prev = if ci == 0 {
-            seg.parent
-                .and_then(|(pid, _)| adjusted[pid.index()].last())
-                .expect("boundary exists")
-        } else {
-            &orig[ci - 1]
-        };
-        if orig_prev.x_count() == 0 && orig[ci].x_count() == 0 {
-            continue;
-        }
-        let stable: &[u64] = if use_stability {
-            stability_words_into(nl, orig_prev, &orig[ci], &mut scratch.st);
-            &scratch.st
-        } else {
-            &scratch.no_stability
-        };
-        if ci == 0 {
-            let b = boundary.as_mut().expect("checked");
-            Frame::assign_x_pair(b, &mut frames[0], stable, &tr.first, &tr.second);
-        } else {
-            let (a, b) = frames.split_at_mut(ci);
-            Frame::assign_x_pair(&mut a[ci - 1], &mut b[0], stable, &tr.first, &tr.second);
-        }
-    }
-    // Leftover Xs (off-parity positions and cycle 0) hold 0: their
-    // cycles are discarded by the interleaving.
-    if let Some(b) = boundary.as_mut() {
-        b.resolve_x_to_zero();
-    }
-    for f in &mut frames {
-        f.resolve_x_to_zero();
-    }
-    (boundary, frames)
+        .and_then(|(pid, _)| adjusted[pid.index()].last())
 }
 
 /// Both parity assignments of a whole tree — the discrete stage of
@@ -366,8 +568,8 @@ pub struct TreeAssignments {
 
 /// Resolves both parity assignments of the whole tree over precomputed
 /// adjusted frames and a precomputed max-transitions table: a loop of
-/// the per-segment assignment kernel of [`crate::sweep::bound_tree`] over
-/// the segments (see [`TreeAssignments`]).
+/// the assignment kernel of [`crate::sweep::bound_tree`] over the same
+/// units of segments (see [`TreeAssignments`]).
 pub fn assign_tree(
     nl: &Netlist,
     tree: &ExecutionTree,
@@ -375,8 +577,11 @@ pub fn assign_tree(
     use_stability: bool,
     tr: &MaxTransitions,
 ) -> TreeAssignments {
-    let (even, odd) = (0..tree.segments().len())
-        .map(|si| assign_segment_pair(nl, tree, adjusted, si, use_stability, tr))
+    let plan = AssignPlan::new(nl, tree, adjusted, use_stability);
+    let (even, odd) = plan
+        .units()
+        .into_iter()
+        .flat_map(|unit| plan.assign(&unit.collect::<Vec<_>>(), tr))
         .unzip();
     TreeAssignments {
         even: ParityAssignment {

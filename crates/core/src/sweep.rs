@@ -26,9 +26,11 @@
 //!   traces**: transition energies never read the clock, so corners
 //!   differing only in clock share them.
 //!
-//! The (segment, base library) pairs stream through the [`par`] worker
-//! pool: each pair's assigned frames are dropped as soon as its energy
-//! traces exist, so no whole-tree assignment is ever resident. Per
+//! The work streams through the [`par`] worker pool as *(unit, base
+//! library)* items, a unit being a run of consecutive segments whose
+//! X-bearing cycle pairs fill at most one 64-pair stability block: each
+//! item's assigned frames are dropped as soon as their energy traces
+//! exist, so no whole-tree assignment is ever resident. Per
 //! corner, all that remains is the exact femtojoule→milliwatt conversion
 //! at that corner's clock, the bound composition, and the peak-energy
 //! value iteration.
@@ -44,18 +46,19 @@
 use crate::activity::{ExploreConfig, ExploreStats, SymbolicExplorer};
 use crate::memo::{PowerKey, SegmentPowerCache};
 use crate::peak_power::{
-    self, MaxTransitions, PeakEnergyResult, PeakPowerResult, TreeEnergyTraces,
+    self, AssignPlan, MaxTransitions, PeakEnergyResult, PeakPowerResult, TreeEnergyTraces,
 };
 use crate::summary::BoundsReport;
 use crate::tree::ExecutionTree;
 use crate::{par, AnalysisError};
+use std::ops::Range;
 use std::time::Instant;
 use xbound_cells::CellLibrary;
 use xbound_cpu::Cpu;
 use xbound_msp430::Program;
 use xbound_netlist::Netlist;
 use xbound_obs::{metrics, trace};
-use xbound_power::PowerAnalyzer;
+use xbound_power::{EnergyTrace, PowerAnalyzer};
 
 /// Registry mirrors of the sweep's reuse-tier telemetry, fed once per
 /// [`run_sweep`] after the deterministic [`SweepStats`] are final.
@@ -288,19 +291,31 @@ impl<'s> Groups<'s> {
     }
 }
 
+/// One (segment, derated library) of a fan-out unit in [`bound_tree`]:
+/// its even/odd energy traces once known (from the cache, or computed),
+/// and the cache key to record computed traces under.
+struct Slot {
+    traces: Option<(EnergyTrace, EnergyTrace)>,
+    key: Option<PowerKey>,
+}
+
 /// Algorithm 2 and the peak-energy pass for every corner of `spec` over
 /// one explored `tree` — the single implementation behind both
 /// [`crate::CoAnalysis::run`] (a one-corner spec) and [`run_sweep`].
 /// Results are in spec order.
 ///
-/// The work streams per *(segment, base library)* pair, fanned out over
+/// The work streams per *(unit, base library)* item, fanned out over
 /// `threads` workers (`0` = auto, see [`par::resolve_threads`]) in index
-/// order. Each pair assigns the segment's even and odd frames once,
-/// analyzes them into clock-free [`xbound_power::EnergyTrace`]s under
-/// each derated library of that base, and drops the frames. Fanning out
-/// pairs rather than segments keeps every worker busy on single-segment
-/// programs too. Per corner, the traces of its library are converted at
-/// its clock and composed into the bound
+/// order. A unit is a run of consecutive segments holding at most 64
+/// X-bearing cycle pairs (a longer segment is a unit of its own), so
+/// that short segments share the block stability kernel
+/// ([`peak_power::BlockStability`]); units are grouped from the pair
+/// counts alone. Each item assigns its segments' even and odd frames
+/// once, analyzes them into clock-free [`xbound_power::EnergyTrace`]s
+/// under each derated library of that base, and drops the frames.
+/// Keeping the base in the item keeps every worker busy on
+/// single-segment programs too. Per corner, the traces of its library
+/// are converted at its clock and composed into the bound
 /// ([`peak_power::compose_peak_power`]), then the peak energy follows
 /// ([`peak_power::compute_peak_energy`]).
 ///
@@ -310,8 +325,10 @@ impl<'s> Groups<'s> {
 /// corner's per-cycle traces at once.
 ///
 /// With a `cache`, each (segment, derated library) trace pair is looked
-/// up before it is computed and recorded after; a hit is bit-identical
-/// to the recomputation, so the result never depends on the cache.
+/// up before it is computed and recorded after, and a segment whose
+/// every library hits adds no pairs to a stability block; a hit is
+/// bit-identical to the recomputation, so the result never depends on
+/// the cache.
 /// `use_stability = false` is the ablation of the stability refinement
 /// (the paper's literal maximizing assignment).
 #[allow(clippy::too_many_arguments)]
@@ -344,50 +361,67 @@ pub fn bound_tree<R: Send>(
         .iter()
         .map(|(lib, _)| PowerAnalyzer::new(nl, lib, 1.0))
         .collect();
-    let pairs: Vec<(usize, usize)> = (0..tree.segments().len())
-        .flat_map(|si| (0..tables.len()).map(move |b| (si, b)))
+    let plan = AssignPlan::new(nl, tree, &adjusted, use_stability);
+    let items: Vec<(Range<usize>, usize)> = plan
+        .units()
+        .into_iter()
+        .flat_map(|unit| (0..tables.len()).map(move |b| (unit.clone(), b)))
         .collect();
-    // Per pair: the segment's (even, odd) energy traces under each derated
-    // library of the pair's base, tagged with the library's index.
-    let pair_traces = par::par_map(threads, pairs, |_, (si, b)| {
-        let seg = &tree.segments()[si];
-        let boundary = seg.parent.and_then(|(pid, _)| adjusted[pid.index()].last());
-        let odd_start = seg.start_cycle % 2 == 1;
-        let mut assigned = None;
-        let mut out = Vec::new();
-        for (l, (lib, _)) in groups.libs.iter().enumerate().filter(|(_, lib)| lib.1 == b) {
-            let key = cache.map(|_| {
-                PowerKey::new(
-                    lib.name(),
-                    use_stability,
-                    odd_start,
-                    boundary,
-                    &adjusted[si],
-                )
-            });
-            let traces = match cache.zip(key.as_ref()).and_then(|(c, k)| c.lookup(k)) {
-                Some(hit) => hit,
-                None => {
-                    let (even, odd) = assigned.get_or_insert_with(|| {
-                        peak_power::assign_segment_pair(
-                            nl,
-                            tree,
-                            &adjusted,
-                            si,
-                            use_stability,
-                            &tables[b],
-                        )
-                    });
-                    let traces = peak_power::analyze_segment_energy(&analyzers[l], even, odd);
-                    if let (Some(c), Some(k)) = (cache, key) {
+    // Per item: each segment's (even, odd) energy traces under each
+    // derated library of the item's base, tagged with the library's
+    // index, in segment order.
+    let unit_traces = par::par_map(threads, items, |_, (unit, b)| {
+        let libs: Vec<usize> = (0..groups.libs.len())
+            .filter(|&l| groups.libs[l].1 == b)
+            .collect();
+        let mut slots: Vec<Vec<Slot>> = unit
+            .clone()
+            .map(|si| {
+                let seg = &tree.segments()[si];
+                let boundary = peak_power::boundary(tree, &adjusted, si);
+                libs.iter()
+                    .map(|&l| {
+                        let key = cache.map(|_| {
+                            PowerKey::new(
+                                groups.libs[l].0.name(),
+                                use_stability,
+                                seg.start_cycle % 2 == 1,
+                                boundary,
+                                &adjusted[si],
+                            )
+                        });
+                        let traces = cache.zip(key.as_ref()).and_then(|(c, k)| c.lookup(k));
+                        Slot { traces, key }
+                    })
+                    .collect()
+            })
+            .collect();
+        let misses: Vec<usize> = unit
+            .clone()
+            .filter(|si| slots[si - unit.start].iter().any(|s| s.traces.is_none()))
+            .collect();
+        let assigned = plan.assign(&misses, &tables[b]);
+        let _span = trace::span("alg2_energy");
+        for (si, (even, odd)) in misses.into_iter().zip(assigned) {
+            for (slot, &l) in slots[si - unit.start].iter_mut().zip(&libs) {
+                if slot.traces.is_none() {
+                    let traces = peak_power::analyze_segment_energy(&analyzers[l], &even, &odd);
+                    if let (Some(c), Some(k)) = (cache, slot.key.take()) {
                         c.record(k, &traces.0, &traces.1);
                     }
-                    traces
+                    slot.traces = Some(traces);
                 }
-            };
-            out.push((l, traces));
+            }
         }
-        out
+        slots
+            .into_iter()
+            .flat_map(|per_lib| {
+                libs.iter().zip(per_lib).map(|(&l, slot)| {
+                    let traces = slot.traces.expect("every miss was computed");
+                    (l, traces)
+                })
+            })
+            .collect::<Vec<_>>()
     });
     // The per-corner stage reads only the energy traces.
     drop(adjusted);
@@ -398,7 +432,7 @@ pub fn bound_tree<R: Send>(
             odd: Vec::with_capacity(tree.segments().len()),
         })
         .collect();
-    for (l, (even, odd)) in pair_traces.into_iter().flatten() {
+    for (l, (even, odd)) in unit_traces.into_iter().flatten() {
         sets[l].even.push(even);
         sets[l].odd.push(odd);
     }
@@ -438,7 +472,7 @@ pub struct SweepAnalysis {
 
 /// Runs one sweep: explores `program` once on `cpu`, then bounds every
 /// corner of `spec` from the shared tree through [`bound_tree`], whose
-/// (segment, base library) fan-out runs on `threads` workers (`0` = auto
+/// (unit, base library) fan-out runs on `threads` workers (`0` = auto
 /// via [`par::resolve_threads`]).
 ///
 /// `config.lanes` governs the shared exploration exactly as in

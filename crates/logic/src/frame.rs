@@ -174,6 +174,45 @@ impl Frame {
         }
     }
 
+    /// The known-equal rule of [`Frame::known_equal_words_into`] for up to
+    /// 64 frame pairs at once, transposed to one word per net: bit `k` of
+    /// `lanes[i]` is set when net `i` is known and equal in both frames of
+    /// `pairs[k]`. `lanes` is resized to [`Frame::word_count`] × 64 words;
+    /// words past the frame length and bits past `pairs.len()` are zero.
+    ///
+    /// This is the entry of Algorithm 2's block stability kernel, which
+    /// then propagates stability through the netlist one word per net for
+    /// 64 cycle pairs; [`lanes_to_bitsets`] is the way back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pairs` is empty or longer than 64, or if the frames have
+    /// different lengths.
+    pub fn known_equal_lanes_into(pairs: &[(&Frame, &Frame)], lanes: &mut Vec<u64>) {
+        assert!(
+            (1..=64).contains(&pairs.len()),
+            "a lane block holds 1 to 64 pairs"
+        );
+        let len = pairs[0].0.len;
+        for (p, c) in pairs {
+            assert!(p.len == len && c.len == len, "frame length mismatch");
+        }
+        let words = len.div_ceil(64);
+        lanes.clear();
+        lanes.resize(words * 64, 0);
+        let mut tile = [0u64; 64];
+        for (w, out) in lanes.chunks_exact_mut(64).enumerate() {
+            for (row, (p, c)) in tile.iter_mut().zip(pairs) {
+                *row = !p.unk[w] & !c.unk[w] & !(p.val[w] ^ c.val[w]);
+            }
+            tile[pairs.len()..].fill(0);
+            transpose64(&mut tile);
+            out.copy_from_slice(&tile);
+        }
+        // Nets past len() never read as "stable".
+        lanes[len..].fill(0);
+    }
+
     /// Word-parallel X-assignment of one consecutive frame pair — the
     /// resolve kernel of Algorithm 2, applied to every net at once:
     ///
@@ -241,6 +280,49 @@ impl Frame {
             n += differs.count_ones() as usize;
         }
         n
+    }
+
+    /// Calls `f(i, t)` for every net `i` set in `mask` whose value differs
+    /// between `self` (the earlier frame) and `next`, ascending, with `t`
+    /// the kind of transition — the per-cycle walk of gate-level power
+    /// analysis, classified word by word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frames have different lengths or `mask` is shorter
+    /// than [`Frame::word_count`].
+    #[inline]
+    pub fn for_each_transition(
+        &self,
+        next: &Frame,
+        mask: &[u64],
+        mut f: impl FnMut(usize, Transition),
+    ) {
+        assert_eq!(self.len, next.len, "frame length mismatch");
+        let mask = &mask[..self.val.len()];
+        for (w, &m) in mask.iter().enumerate() {
+            let (pv, pu, cv, cu) = (self.val[w], self.unk[w], next.val[w], next.unk[w]);
+            let mut differs = ((pv ^ cv) | (pu ^ cu)) & m;
+            if differs == 0 {
+                continue;
+            }
+            // The value plane is zero wherever the unknown plane is set,
+            // so a known endpoint pair that differs is a rise exactly
+            // when the later value is 1. The class is computed without a
+            // branch: rises and falls do not predict.
+            let x = pu | cu;
+            let rise = cv & !x;
+            while differs != 0 {
+                let b = differs.trailing_zeros();
+                let t = match ((x >> b) & 1) << 1 | ((rise >> b) & 1) {
+                    0 => Transition::Fall,
+                    1 => Transition::Rise,
+                    _ => Transition::X,
+                };
+                f(w * 64 + b as usize, t);
+                differs &= differs - 1;
+            }
+        }
     }
 
     /// Indices of nets whose value differs between the two frames.
@@ -369,9 +451,160 @@ impl FromIterator<Lv> for Frame {
     }
 }
 
+/// The kind of one net's change between two frames (see
+/// [`Frame::for_each_transition`]). The discriminants index a per-net
+/// `[fall, rise, max]` energy table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Transition {
+    /// Known `1` → known `0`.
+    Fall = 0,
+    /// Known `0` → known `1`.
+    Rise = 1,
+    /// Either endpoint is `X`.
+    X = 2,
+}
+
+/// Transposes a 64 × 64 bit matrix in place: bit `j` of row `i` moves to
+/// bit `i` of row `j`.
+///
+/// Six rounds of block swaps (32-, 16-, …, 1-bit blocks), each a masked
+/// exchange between rows `k` and `k + j`.
+pub fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            // Swap the high `j`-bit blocks of row `k` with the low blocks
+            // of row `k + j`.
+            let t = ((m[k] >> j) ^ m[k + j]) & mask;
+            m[k + j] ^= t;
+            m[k] ^= t << j;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
+/// The inverse of [`Frame::known_equal_lanes_into`]'s layout: writes bit
+/// `k` of every per-net lane word `lanes[i]` into `out[k]`, a bitset of
+/// one bit per net over `len` nets. Each `out[k]` is resized to
+/// `len.div_ceil(64)` words, with the bits past `len` zeroed.
+///
+/// # Panics
+///
+/// Panics if `out` is longer than 64 or `lanes` holds fewer than
+/// `len.div_ceil(64) × 64` words.
+pub fn lanes_to_bitsets(lanes: &[u64], len: usize, out: &mut [Vec<u64>]) {
+    assert!(out.len() <= 64, "a lane block holds at most 64 pairs");
+    let words = len.div_ceil(64);
+    assert!(lanes.len() >= words * 64, "one lane word per net");
+    for set in out.iter_mut() {
+        set.clear();
+        set.resize(words, 0);
+    }
+    let mut tile = [0u64; 64];
+    for (w, chunk) in lanes[..words * 64].chunks_exact(64).enumerate() {
+        tile.copy_from_slice(chunk);
+        transpose64(&mut tile);
+        let keep = if w + 1 == words && len % 64 != 0 {
+            (1u64 << (len % 64)) - 1
+        } else {
+            u64::MAX
+        };
+        for (set, row) in out.iter_mut().zip(tile) {
+            set[w] = row & keep;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transpose64_matches_naive_and_is_an_involution() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut m = [0u64; 64];
+        for row in &mut m {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            *row = rng;
+        }
+        let orig = m;
+        transpose64(&mut m);
+        for (i, row) in orig.iter().enumerate() {
+            for (j, t) in m.iter().enumerate() {
+                assert_eq!((row >> j) & 1, (t >> i) & 1, "bit ({i}, {j})");
+            }
+        }
+        transpose64(&mut m);
+        assert_eq!(m, orig);
+    }
+
+    #[test]
+    fn known_equal_lanes_round_trip_to_per_pair_words() {
+        // 130 nets: a partial last word; 3 pairs: a partial lane block.
+        let n = 130;
+        let mut rng = 0x1234_5678_9abc_def0u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let lv = |x: u64| match x % 3 {
+            0 => Lv::Zero,
+            1 => Lv::One,
+            _ => Lv::X,
+        };
+        let frames: Vec<Frame> = (0..6)
+            .map(|_| (0..n).map(|_| lv(next())).collect())
+            .collect();
+        let pairs: Vec<(&Frame, &Frame)> = frames.chunks(2).map(|p| (&p[0], &p[1])).collect();
+        let mut lanes = Vec::new();
+        Frame::known_equal_lanes_into(&pairs, &mut lanes);
+        assert_eq!(lanes.len(), 3 * 64);
+        assert!(lanes[n..].iter().all(|&w| w == 0), "no lane past len()");
+        assert!(lanes.iter().all(|&w| w >> 3 == 0), "no lane past the pairs");
+        let mut back = vec![Vec::new(); pairs.len()];
+        lanes_to_bitsets(&lanes, n, &mut back);
+        for ((p, c), got) in pairs.iter().zip(&back) {
+            let mut want = Vec::new();
+            p.known_equal_words_into(c, &mut want);
+            assert_eq!(got, &want);
+        }
+    }
+
+    #[test]
+    fn for_each_transition_classifies_masked_changes() {
+        let mut a = Frame::new(130);
+        let mut b = Frame::new(130);
+        a.set(0, Lv::One); // 1 -> 0: fall
+        b.set(3, Lv::One); // 0 -> 1: rise
+        a.set(64, Lv::X); // X -> 1: X endpoint
+        b.set(64, Lv::One);
+        b.set(65, Lv::X); // 0 -> X: X endpoint
+        a.set(66, Lv::X); // X -> X: unchanged
+        b.set(66, Lv::X);
+        b.set(129, Lv::One); // masked off
+        let mut mask = vec![u64::MAX; a.word_count()];
+        mask[2] = 0;
+        let mut seen = Vec::new();
+        a.for_each_transition(&b, &mask, |i, t| seen.push((i, t)));
+        assert_eq!(
+            seen,
+            [
+                (0, Transition::Fall),
+                (3, Transition::Rise),
+                (64, Transition::X),
+                (65, Transition::X),
+            ]
+        );
+    }
 
     #[test]
     fn new_is_all_zero() {

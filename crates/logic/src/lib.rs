@@ -35,7 +35,7 @@ mod frame;
 mod word;
 
 pub use batch::{BatchFrame, LaneVal, MAX_LANES};
-pub use frame::Frame;
+pub use frame::{lanes_to_bitsets, transpose64, Frame, Transition};
 pub use word::XWord;
 
 /// A three-valued logic level: `0`, `1`, or unknown (`X`).

@@ -53,7 +53,7 @@ pub mod statics;
 pub mod vcd;
 
 use xbound_cells::CellLibrary;
-use xbound_logic::{BatchFrame, Frame, LaneVal};
+use xbound_logic::{BatchFrame, Frame, LaneVal, Transition};
 use xbound_netlist::{CellKind, Netlist};
 
 /// A per-cycle power trace produced by [`PowerAnalyzer::analyze`].
@@ -176,6 +176,12 @@ impl EnergyTrace {
         &self.per_cycle_fj
     }
 
+    /// Per-module per-cycle switching energy, `[module][cycle]`,
+    /// femtojoules.
+    pub fn per_module_fj(&self) -> &[Vec<f64>] {
+        &self.per_module_fj
+    }
+
     /// Number of cycles in the trace.
     pub fn cycles(&self) -> usize {
         self.per_cycle_fj.len()
@@ -219,20 +225,40 @@ impl EnergyTrace {
     }
 }
 
+/// One net's transition energies, femtojoules, by [`Transition`] —
+/// `[fall, rise, max]` of its driving cell — and the driver's module.
+#[derive(Debug, Clone, Copy)]
+struct NetEnergy {
+    fj: [f64; 3],
+    module: usize,
+}
+
+impl NetEnergy {
+    #[inline]
+    fn of(&self, t: Transition) -> f64 {
+        self.fj[t as usize]
+    }
+}
+
 /// Activity-based power analyzer bound to a netlist + library + clock.
 #[derive(Debug, Clone)]
 pub struct PowerAnalyzer<'a> {
     nl: &'a Netlist,
     lib: &'a CellLibrary,
     clock_hz: f64,
-    /// Per-gate (rise, fall, max) energies in femtojoules.
-    energies: Vec<(f64, f64, f64)>,
+    /// Per-net transition energies of the driving cell (zero for
+    /// primary inputs, which `driven` masks out).
+    nets: Vec<NetEnergy>,
+    /// One bit per net driven by a gate: primary-input toggles cost
+    /// nothing themselves.
+    driven: Vec<u64>,
     leakage_mw: f64,
     clock_mw: f64,
 }
 
 impl<'a> PowerAnalyzer<'a> {
-    /// Creates an analyzer; precomputes per-gate energies and total leakage.
+    /// Creates an analyzer; precomputes per-net transition energies and
+    /// total leakage.
     ///
     /// # Panics
     ///
@@ -240,14 +266,23 @@ impl<'a> PowerAnalyzer<'a> {
     pub fn new(nl: &'a Netlist, lib: &'a CellLibrary, clock_hz: f64) -> PowerAnalyzer<'a> {
         assert!(clock_hz > 0.0, "clock must be positive");
         assert!(nl.is_finalized(), "netlist must be finalized");
-        let energies = nl
-            .gates()
-            .iter()
-            .map(|g| {
-                let p = lib.power(g.kind());
-                (p.energy_rise_fj, p.energy_fall_fj, p.max_energy_fj())
-            })
-            .collect();
+        let mut nets = vec![
+            NetEnergy {
+                fj: [0.0; 3],
+                module: 0,
+            };
+            nl.net_count()
+        ];
+        let mut driven = vec![0u64; nl.net_count().div_ceil(64)];
+        for g in nl.gates() {
+            let p = lib.power(g.kind());
+            let i = g.output().index();
+            nets[i] = NetEnergy {
+                fj: [p.energy_fall_fj, p.energy_rise_fj, p.max_energy_fj()],
+                module: g.module().index(),
+            };
+            driven[i / 64] |= 1 << (i % 64);
+        }
         let leakage_nw: f64 = nl
             .gates()
             .iter()
@@ -265,7 +300,8 @@ impl<'a> PowerAnalyzer<'a> {
             nl,
             lib,
             clock_hz,
-            energies,
+            nets,
+            driven,
             leakage_mw: leakage_nw * 1e-6,
             clock_mw: clock_fj * CLOCK_TREE_FACTOR * clock_hz * 1e-12,
         }
@@ -355,23 +391,43 @@ impl<'a> PowerAnalyzer<'a> {
     /// parent's last frame; passing the boundary by reference avoids
     /// cloning each segment's frames twice per run.
     ///
-    /// This is the 1-lane wrapper of the lane-wise accumulator: each
-    /// consecutive frame pair is diffed word-wise ([`Frame::for_each_diff`])
-    /// and the changed nets feed [`BatchPowerAccumulator`]'s shared
-    /// classify/accumulate kernel at lane width 1, so the scalar and
-    /// batched analyses cannot diverge.
+    /// Each consecutive frame pair is walked word by word
+    /// ([`Frame::for_each_transition`] over the driven nets), and each
+    /// changed net adds its per-net energy — the maximum at an `X`
+    /// endpoint, else rise or fall — into the cycle's sum and its
+    /// module's row, in ascending net order: the f64 order of
+    /// [`BatchPowerAccumulator`], so the two analyses agree bit for bit.
     pub fn analyze_energy_with_boundary(
         &self,
         boundary: Option<&Frame>,
         frames: &[Frame],
     ) -> EnergyTrace {
-        let mut acc = self.batch_accumulator(1);
+        let cycles = usize::from(boundary.is_some()) + frames.len();
+        let mut per_cycle_fj = Vec::with_capacity(cycles);
+        let mut per_module_fj = vec![Vec::with_capacity(cycles); self.nl.modules().len()];
+        let mut row = vec![0.0f64; per_module_fj.len()];
         let mut prev: Option<&Frame> = None;
         for cur in boundary.into_iter().chain(frames) {
-            acc.push_scalar_pair(prev, cur);
+            let mut sum = 0.0f64;
+            row.fill(0.0);
+            if let Some(prev) = prev {
+                prev.for_each_transition(cur, &self.driven, |i, t| {
+                    let net = &self.nets[i];
+                    let e = net.of(t);
+                    sum += e;
+                    row[net.module] += e;
+                });
+            }
+            per_cycle_fj.push(sum);
+            for (m, &e) in per_module_fj.iter_mut().zip(&row) {
+                m.push(e);
+            }
             prev = Some(cur);
         }
-        acc.finish_energy(None).pop().expect("one lane")
+        EnergyTrace {
+            per_cycle_fj,
+            per_module_fj,
+        }
     }
 
     /// Creates a streaming accumulator for batched per-lane power
@@ -393,7 +449,12 @@ impl<'a> PowerAnalyzer<'a> {
     /// This is the data-sheet bound of the paper's Chapter 1/2 (the most
     /// conservative rating).
     pub fn rated_peak_mw(&self) -> f64 {
-        let fj: f64 = self.energies.iter().map(|(_, _, m)| m).sum();
+        let fj: f64 = self
+            .nl
+            .gates()
+            .iter()
+            .map(|g| self.lib.power(g.kind()).max_energy_fj())
+            .sum();
         fj * self.clock_hz * 1e-12 + self.leakage_mw + self.clock_mw
     }
 
@@ -456,14 +517,14 @@ impl BatchPowerAccumulator<'_> {
         c
     }
 
-    /// The shared transition kernel: classifies one net's per-lane
-    /// transition (rise / fall / X-endpoint) and accumulates the cell
-    /// energy into every changed lane.
+    /// The transition kernel: classifies one net's per-lane transition
+    /// (rise / fall / X-endpoint) and accumulates the net's energy from
+    /// the analyzer's per-net table into every changed lane.
     ///
     /// A changed lane lands in exactly one class mask, so each lane
     /// accumulates at most one energy per net, in ascending net order —
-    /// the exact f64 order of the historical scalar analyzer, which is
-    /// why 1-lane accumulation reproduces it bit for bit. `X` endpoints
+    /// the f64 order of [`PowerAnalyzer::analyze_energy_with_boundary`],
+    /// which is why each lane reproduces it bit for bit. `X` endpoints
     /// are charged the maximum transition energy (conservative; only
     /// reachable when callers analyze raw symbolic traces).
     #[inline]
@@ -473,16 +534,21 @@ impl BatchPowerAccumulator<'_> {
             return;
         }
         let a = self.analyzer;
-        let Some(gid) = a.nl.driver_of(xbound_netlist::NetId(i as u32)) else {
+        if (a.driven[i / 64] >> (i % 64)) & 1 == 0 {
             return; // primary input toggles cost nothing themselves
-        };
-        let (rise_e, fall_e, max_e) = a.energies[gid.index()];
-        let module = a.nl.gate(gid).module().index();
+        }
+        let net = &a.nets[i];
+        let module = net.module;
         let known = !p.unk & !q.unk;
         let rise = changed & known & !p.val & q.val;
         let fall = changed & known & p.val & !q.val;
         let xchg = changed & (p.unk | q.unk);
-        for (mask, e) in [(rise, rise_e), (fall, fall_e), (xchg, max_e)] {
+        for (mask, t) in [
+            (rise, Transition::Rise),
+            (fall, Transition::Fall),
+            (xchg, Transition::X),
+        ] {
+            let e = net.of(t);
             let mut m = mask;
             while m != 0 {
                 let l = m.trailing_zeros() as usize;
@@ -544,31 +610,6 @@ impl BatchPowerAccumulator<'_> {
             self.prev = Some(prev);
         } else {
             self.prev = Some(frame.clone());
-        }
-    }
-
-    /// One cycle of 1-lane accumulation driven by a *scalar* frame pair:
-    /// only the word-wise diff of `(prev, cur)` reaches the shared
-    /// transition kernel, so the scalar [`PowerAnalyzer::analyze`] wrapper
-    /// keeps the packed-frame diffing speed while sharing every
-    /// accumulation op with the batched path. Does not touch the stored
-    /// batched `prev` frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the accumulator has exactly one lane.
-    fn push_scalar_pair(&mut self, prev: Option<&Frame>, cur: &Frame) {
-        assert_eq!(self.lanes, 1, "scalar accumulation is 1-lane");
-        let c = self.begin_cycle();
-        if let Some(prev) = prev {
-            prev.for_each_diff(cur, |i| {
-                self.accumulate_net(
-                    c,
-                    i,
-                    LaneVal::splat(prev.get(i), 1),
-                    LaneVal::splat(cur.get(i), 1),
-                );
-            });
         }
     }
 
@@ -831,6 +872,94 @@ mod tests {
         }
         let full = a.analyze_batch(&batch, None);
         assert_eq!(full[0], a.analyze(&lane_frames[0]));
+    }
+
+    #[test]
+    fn energy_walk_is_bit_identical_to_one_lane_accumulator() {
+        use xbound_logic::BatchFrame;
+        // Two modules, toggling primary inputs (undriven: free), and a
+        // net count that is not a multiple of 64.
+        let mut r = Rtl::new("walk");
+        r.set_module("ctl");
+        let en = r.input_bit("en");
+        let d = r.input("d", 8);
+        let (h, q) = r.reg("acc", 8);
+        r.set_module("datapath");
+        let (sum, _) = r.add(&q, &d, None);
+        let gated: Vec<_> = q.iter().zip(&sum).map(|(&q, &s)| r.mux(en, q, s)).collect();
+        r.reg_next(h, &gated);
+        r.output("q", &q);
+        let nl = r.finish().unwrap();
+        assert_ne!(nl.net_count() % 64, 0);
+        assert!(nl.modules().len() > 1);
+        // Every embedded cell rises at its maximum energy, so a skewed
+        // library, where half the kinds fall at it, tells an X endpoint
+        // apart from a rise.
+        let skewed: Vec<(CellKind, xbound_cells::CellPower)> = CellKind::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| {
+                let p = *CellLibrary::ulp65().power(k);
+                let (rise, fall) = (1.0 + i as f64, 1.5 + 2.0 * i as f64);
+                let (energy_rise_fj, energy_fall_fj) = if i % 2 == 0 {
+                    (fall, rise)
+                } else {
+                    (rise, fall)
+                };
+                (
+                    k,
+                    xbound_cells::CellPower {
+                        energy_rise_fj,
+                        energy_fall_fj,
+                        ..p
+                    },
+                )
+            })
+            .collect();
+        let libs = [
+            CellLibrary::ulp65(),
+            CellLibrary::from_cells("skewed", 1.0, &skewed).unwrap(),
+        ];
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for round in 0..40 {
+            let a = PowerAnalyzer::new(&nl, &libs[round % 2], 100.0e6);
+            // Random 3-valued frames: X endpoints on both sides of a
+            // pair, and X → X pairs, at every net, inputs included.
+            let frames: Vec<Frame> = (0..1 + next() as usize % 12)
+                .map(|_| {
+                    (0..nl.net_count())
+                        .map(|_| match next() % 5 {
+                            0 => Lv::X,
+                            1 | 2 => Lv::Zero,
+                            _ => Lv::One,
+                        })
+                        .collect()
+                })
+                .collect();
+            for boundary in [None, Some(&frames[0])] {
+                let rest = &frames[usize::from(boundary.is_some())..];
+                let walk = a.analyze_energy_with_boundary(boundary, rest);
+                let mut acc = a.batch_accumulator(1);
+                for f in boundary.into_iter().chain(rest) {
+                    let mut lane = BatchFrame::new(nl.net_count(), 1);
+                    lane.broadcast_from(f);
+                    acc.push(&lane);
+                }
+                let reference = acc.finish_energy(None).pop().unwrap();
+                assert_eq!(bits(walk.per_cycle_fj()), bits(reference.per_cycle_fj()));
+                assert_eq!(walk.per_module_fj().len(), reference.per_module_fj().len());
+                for (w, r) in walk.per_module_fj().iter().zip(reference.per_module_fj()) {
+                    assert_eq!(bits(w), bits(r));
+                }
+            }
+        }
     }
 
     #[test]

@@ -543,7 +543,7 @@ fn worker_loop(shared: &Shared) {
                     vec![("corners".to_string(), corners.len().to_string())]
                 });
                 // One shared exploration for every fresh corner. Algorithm
-                // 2's (segment, base library) fan-out runs serially when
+                // 2's (unit, base library) fan-out runs serially when
                 // several daemon workers run ("one layer of parallelism at
                 // a time"), at auto threads otherwise.
                 let sweep_threads = if shared.workers > 1 { 1 } else { 0 };

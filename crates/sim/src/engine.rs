@@ -369,11 +369,6 @@ impl<'n, L: Lanes> Engine<'n, L> {
         w
     }
 
-    /// The current batched value frame (all nets × all lanes).
-    pub fn batch_frame(&self) -> &BatchFrame {
-        &self.frame
-    }
-
     /// Extracts one lane of the settled frame as a scalar [`Frame`].
     ///
     /// # Panics
@@ -465,15 +460,6 @@ impl<'n, L: Lanes> Engine<'n, L> {
     pub fn reset(&mut self, cycles: u32) {
         self.reset_remaining = cycles;
         self.evaled = false;
-    }
-
-    /// Memory regions of one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= lanes()`.
-    pub fn mems_lane(&self, lane: usize) -> &[MemRegion] {
-        &self.mems[lane]
     }
 
     /// Looks a region of one lane up by name.
@@ -1097,19 +1083,6 @@ impl<'n> Engine<'n, Scalar> {
         self.ff_next_lanes().iter().map(|v| v.get(0)).collect()
     }
 
-    /// [`Engine::commit`] with the flip-flop next-values computed by an
-    /// earlier [`Engine::<Scalar>::ff_next_values`] call on the same
-    /// settled frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before a successful eval, or if `next` does not
-    /// have one value per sequential gate.
-    pub fn commit_with_next(&mut self, next: &[Lv]) {
-        let next: Vec<LaneVal> = next.iter().map(|&v| LaneVal::splat(v, 1)).collect();
-        self.commit_with_next_lanes(&next);
-    }
-
     /// Memory regions.
     pub fn mems(&self) -> &[MemRegion] {
         self.mems.first().map(Vec::as_slice).unwrap_or(&[])
@@ -1188,17 +1161,6 @@ impl<'n> Engine<'n, Wide> {
     /// Panics unless [`Engine::<Wide>::eval`] succeeded for this cycle.
     pub fn ff_next_values(&self) -> Vec<LaneVal> {
         self.ff_next_lanes()
-    }
-
-    /// [`Engine::commit`] with precomputed flip-flop next-values (see
-    /// [`Engine::commit_with_next_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before a successful eval, or if `next` does not
-    /// have one value per sequential gate.
-    pub fn commit_with_next(&mut self, next: &[LaneVal]) {
-        self.commit_with_next_lanes(next);
     }
 
     /// Snapshot of flip-flops + per-lane memories + cycle.
