@@ -68,18 +68,7 @@ fn bench_algorithm2(c: &mut Criterion) {
     let mut g = c.benchmark_group("algorithm2_peak_power");
     g.sample_size(10);
     g.bench_function("mult_even_odd_assignment", |b| {
-        b.iter(|| {
-            bound_tree(
-                sys.cpu().netlist(),
-                &tree,
-                &spec,
-                true,
-                1,
-                1,
-                None,
-                |_, b| b,
-            )
-        });
+        b.iter(|| bound_tree(sys.cpu().netlist(), &tree, &spec, true, 1, 1, |_, b| b));
     });
     g.finish();
 }
@@ -103,7 +92,7 @@ fn bench_end_to_end(c: &mut Criterion) {
 
 /// Operating-point sweep amortization: one shared exploration feeding
 /// the default 8-corner grid's composition passes, vs 8 independent cold
-/// co-analyses of the same corners (no memo, no cache). The per-corner
+/// co-analyses of the same corners. The per-corner
 /// reports are byte-identical either way
 /// (`crates/core/tests/sweep_differential.rs`); only the wall clock
 /// changes.

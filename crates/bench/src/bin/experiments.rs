@@ -15,10 +15,6 @@
 //!   results are bit-identical at any width);
 //! * `--explore-lanes N` — symbolic-exploration lane width (sets
 //!   `XBOUND_EXPLORE_LANES`; results are bit-identical at any width);
-//! * `--incremental` — attach a subtree memo (sets `XBOUND_MEMO=1`
-//!   unless the variable is already set): repeat runs replay memoized
-//!   execution subtrees from the shared cache directory. Results are
-//!   byte-identical with or without it;
 //! * `-h`, `--help` — print the usage and the experiment ids, and exit.
 //!
 //! Bad input (an unknown option or experiment id, a missing or
@@ -61,7 +57,6 @@ options:
   --ga-pop N           stressmark GA population per generation
   --lanes N            concrete batch lane width
   --explore-lanes N    symbolic-exploration lane width
-  --incremental        attach a subtree memo (XBOUND_MEMO overrides)
   -h, --help           print this help
 ";
 
@@ -76,14 +71,6 @@ fn main() {
             "--lanes" => std::env::set_var("XBOUND_LANES", args.number::<usize>(&a).to_string()),
             "--explore-lanes" => {
                 std::env::set_var("XBOUND_EXPLORE_LANES", args.number::<usize>(&a).to_string())
-            }
-            // Subtree memo for incremental re-analysis (results are
-            // byte-identical; repeat invocations replay from the shared
-            // cache directory). `XBOUND_MEMO` set explicitly wins.
-            "--incremental" => {
-                if std::env::var_os("XBOUND_MEMO").is_none() {
-                    std::env::set_var("XBOUND_MEMO", "1");
-                }
             }
             other if other.starts_with('-') => args.fail(&format!("unknown option `{other}`")),
             id if id == "all" || ALL.contains(&id) || EXTRA.contains(&id) => ids.push(a),
@@ -921,7 +908,7 @@ fn ablation(h: &mut Harness) {
         let peak_mw = |use_stability| {
             let nl = sys.cpu().netlist();
             let rounds = bench.energy_rounds();
-            xbound_core::bound_tree(nl, &tree, &spec, use_stability, rounds, 1, None, |_, b| {
+            xbound_core::bound_tree(nl, &tree, &spec, use_stability, rounds, 1, |_, b| {
                 b.peak.peak_mw
             })[0]
         };

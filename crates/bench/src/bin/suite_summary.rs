@@ -35,12 +35,6 @@
 //!   co-analysis service's `xbound-client suite` prints byte-identical
 //!   lines, which is how CI cross-checks the daemon against the direct
 //!   path.
-//! * `--incremental` — attach a subtree memo (incremental re-analysis;
-//!   see `xbound_core::memo`). Repeat analyses of unchanged or edited
-//!   programs replay memoized execution subtrees; the result columns are
-//!   byte-identical either way. `XBOUND_MEMO` overrides the flag (`0`
-//!   disables, `mem` keeps the memo off disk, `1` persists it under the
-//!   shared cache directory).
 //! * `--sweep PATH` — operating-point sweep mode (`xbound_core::sweep`):
 //!   explore each benchmark **once**, then bound every corner of the
 //!   default library × voltage × clock grid, writing the
@@ -49,7 +43,7 @@
 //!   tree-reuse counter CI greps. With `--bounds PATH`, each line gains a
 //!   trailing `"corner"` field — stripping it yields bytes identical to a
 //!   plain single-corner `--bounds` run of that corner (the CI sweep
-//!   smoke contract). Not combinable with `--validate`/`--incremental`.
+//!   smoke contract). Not combinable with `--validate`.
 //! * `--sweep-corners N` — truncate the default 8-corner grid to its
 //!   first `N` corners (the CI smoke runs 4).
 //! * `--trace PATH` — record a Chrome-trace of the run (exploration and
@@ -63,7 +57,7 @@
 //!   invocation runs a fast subset).
 //!
 //! Bad input (an unknown option or benchmark, a missing or non-numeric
-//! value, `--sweep` combined with `--validate`/`--incremental`) prints a
+//! value, `--sweep` combined with `--validate`) prints a
 //! one-line error and exits with status 2.
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,7 +82,6 @@ options:
   --explore-lanes N    lane width of batched symbolic exploration
   --json PATH          write per-benchmark timings and bounds as JSON
   --bounds PATH        write one canonical bound line per benchmark
-  --incremental        attach a subtree memo (XBOUND_MEMO overrides)
   --sweep PATH         bound every corner of the default operating-point
                        grid and write the curves to PATH
   --sweep-corners N    truncate the grid to its first N corners
@@ -126,12 +119,10 @@ fn main() {
     let mut bounds_path: Option<String> = None;
     let mut sweep_path: Option<String> = None;
     let mut sweep_corners = 0usize;
-    let mut incremental = false;
     let mut args = Args::from_env("suite", USAGE);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--oracle" => std::env::set_var("XBOUND_SIM_ENGINE", "levelized"),
-            "--incremental" => incremental = true,
             "--sweep" => sweep_path = Some(args.value(&a)),
             "--sweep-corners" => sweep_corners = args.number(&a),
             "--threads" => threads = args.number(&a),
@@ -155,8 +146,8 @@ fn main() {
     {
         args.fail(&format!("unknown benchmark `{n}`"));
     }
-    if sweep_path.is_some() && (validate_runs > 0 || incremental) {
-        args.fail("--sweep is not combinable with --validate or --incremental");
+    if sweep_path.is_some() && validate_runs > 0 {
+        args.fail("--sweep is not combinable with --validate");
     }
     let benches: Vec<&'static xbound_benchsuite::Benchmark> = xbound_benchsuite::all()
         .iter()
@@ -178,7 +169,6 @@ fn main() {
         write_trace(trace_path);
         return;
     }
-    let memo = xbound_core::memo::from_env(incremental);
     let suite_workers = par::resolve_threads(threads).min(benches.len().max(1));
     let lane_width = par::resolve_lanes(lanes);
     let explore_lane_width = par::resolve_explore_lanes(explore_lanes);
@@ -197,7 +187,6 @@ fn main() {
                     ..ExploreConfig::suite_default()
                 })
                 .energy_rounds(b.energy_rounds())
-                .memo(memo.clone())
                 .run(&program);
             let mut explore = None;
             let mut bounds = None;
@@ -261,19 +250,6 @@ fn main() {
         suite_workers,
         if suite_workers == 1 { "" } else { "s" },
     );
-    if let Some(m) = &memo {
-        let s = m.stats();
-        println!(
-            "memo: {} hits / {} misses, {} segments stitched, {} power-trace hits{}",
-            s.hits,
-            s.misses,
-            s.stitched_segments,
-            s.power_hits,
-            m.dir()
-                .map(|d| format!(", persisted at {}", d.display()))
-                .unwrap_or_default(),
-        );
-    }
 
     if let Some(path) = json_path {
         // Self-describing metadata first, then the per-benchmark timings
@@ -303,13 +279,6 @@ fn main() {
         w.field_u64("explore_active_lane_cycles", agg.active_lane_cycles);
         w.field_u64("explore_idle_lane_cycles", agg.idle_lane_cycles);
         w.field_raw("explore_occupancy", &format!("{:.4}", agg.occupancy()));
-        if let Some(m) = &memo {
-            let s = m.stats();
-            w.field_u64("memo_hits", s.hits);
-            w.field_u64("memo_misses", s.misses);
-            w.field_u64("memo_stitched_segments", s.stitched_segments);
-            w.field_u64("memo_power_hits", s.power_hits);
-        }
         w.key("benchmarks");
         w.begin_array();
         for row in &rows {

@@ -67,11 +67,6 @@ pub struct Harness {
     sys65: UlpSystem,
     sys130: Option<UlpSystem>,
     analyses: HashMap<&'static str, Analysis<'static>>,
-    /// Subtree memo for incremental re-analysis, resolved from
-    /// `XBOUND_MEMO` (the `experiments --incremental` flag sets that
-    /// variable). `None` runs every analysis cold; results are
-    /// byte-identical either way.
-    memo: Option<std::sync::Arc<xbound_core::memo::SubtreeMemo>>,
 }
 
 impl Harness {
@@ -85,7 +80,6 @@ impl Harness {
             sys65: UlpSystem::openmsp430_class()?,
             sys130: None,
             analyses: HashMap::new(),
-            memo: xbound_core::memo::from_env(false),
         })
     }
 
@@ -136,7 +130,6 @@ impl Harness {
             let analysis = CoAnalysis::new(sys)
                 .config(Self::explore_config(bench))
                 .energy_rounds(bench.energy_rounds())
-                .memo(self.memo.clone())
                 .run(&program)?;
             self.analyses.insert(bench.name(), analysis);
         }

@@ -74,16 +74,9 @@ fn all_benchmarks_explore_identically_at_8_lanes() {
         let spec = SweepSpec::new(vec![Corner::nominal(sys.library().clone(), sys.clock_hz())]);
         let peak = |tree: &ExecutionTree| {
             let rounds = bench.energy_rounds();
-            bound_tree(
-                sys.cpu().netlist(),
-                tree,
-                &spec,
-                true,
-                rounds,
-                1,
-                None,
-                |_, b| b.peak,
-            )
+            bound_tree(sys.cpu().netlist(), tree, &spec, true, rounds, 1, |_, b| {
+                b.peak
+            })
             .pop()
             .expect("one corner")
         };

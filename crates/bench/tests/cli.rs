@@ -1,14 +1,13 @@
-//! The front ends' command lines (`suite_summary`, `experiments`,
-//! `incremental_replay`): `--help` prints the usage and exits 0, and every
-//! kind of bad command line prints a one-line error and exits 2 — never a
-//! panic. None of these runs reaches an analysis or writes a file.
+//! The front ends' command lines (`suite_summary`, `experiments`):
+//! `--help` prints the usage and exits 0, and every kind of bad command
+//! line prints a one-line error and exits 2 — never a panic. None of these
+//! runs reaches an analysis or writes a file.
 
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SUITE_SUMMARY: &str = env!("CARGO_BIN_EXE_suite_summary");
 const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
-const INCREMENTAL_REPLAY: &str = env!("CARGO_BIN_EXE_incremental_replay");
 
 /// Runs `exe` pointed at a fresh results directory, and asserts that the
 /// run left it uncreated (no experiment output, no manifest).
@@ -83,37 +82,21 @@ fn missing_values_exit_2() {
     assert_rejected(&["--threads"], "--threads needs a value");
 }
 
+/// `--incremental` went with the subtree memo: an old script that still
+/// passes it exits 2 like any other unknown option.
 #[test]
 fn unknown_benchmarks_and_options_exit_2() {
     assert_rejected(&["mult", "noSuchBench"], "unknown benchmark `noSuchBench`");
-    assert_rejected(&["--no-such-option"], "unknown option `--no-such-option`");
+    for option in ["--no-such-option", "--incremental"] {
+        assert_rejected(&[option], &format!("unknown option `{option}`"));
+    }
 }
 
 #[test]
-fn sweep_does_not_combine_with_incremental_or_validate() {
+fn sweep_does_not_combine_with_validate() {
     let curves = std::env::temp_dir().join("suite_summary_cli_curves.json");
     let curves = curves.to_str().expect("utf-8 temp path");
-    assert_rejected(&["--sweep", curves, "--incremental"], "not combinable");
     assert_rejected(&["--validate", "2", "--sweep", curves], "not combinable");
-}
-
-#[test]
-fn incremental_replay_help_and_bad_input() {
-    for flag in ["--help", "-h"] {
-        let stdout = assert_help(INCREMENTAL_REPLAY, "incremental_replay", &[flag]);
-        assert!(stdout.contains("--json PATH"), "{stdout}");
-    }
-    assert_rejected_by(INCREMENTAL_REPLAY, &["--json"], "--json needs a value");
-    assert_rejected_by(
-        INCREMENTAL_REPLAY,
-        &["--no-such-option"],
-        "unknown option `--no-such-option`",
-    );
-    assert_rejected_by(
-        INCREMENTAL_REPLAY,
-        &["tHold", "noSuchBench"],
-        "unknown benchmark `noSuchBench`",
-    );
 }
 
 #[test]
@@ -133,9 +116,11 @@ fn experiments_help_and_bad_input() {
         assert_rejected_by(EXPERIMENTS, &[flag, "many"], flag);
         assert_rejected_by(EXPERIMENTS, &[flag], &format!("{flag} needs a value"));
     }
-    assert_rejected_by(
-        EXPERIMENTS,
-        &["--no-such-option"],
-        "unknown option `--no-such-option`",
-    );
+    for option in ["--no-such-option", "--incremental"] {
+        assert_rejected_by(
+            EXPERIMENTS,
+            &[option],
+            &format!("unknown option `{option}`"),
+        );
+    }
 }

@@ -200,7 +200,7 @@ impl CellLibrary {
     /// a nominal operating-point corner keys and caches exactly like the
     /// base library. Any other voltage yields a distinct name
     /// (`"<name>@<v>v"`): the name is the only library-identifying key
-    /// material in the bound cache and the subtree memo, so two voltages
+    /// material in the bound cache, so two voltages
     /// must never share it. Scaling rise and fall by the same positive
     /// factor preserves every cell's [`CellPower::max_transition`]
     /// direction, which is what lets operating-point sweeps share one

@@ -43,22 +43,18 @@
 //! simulated path is the same whichever batch brought it home, so the
 //! tree, the statistics and every downstream peak-power table are
 //! **bit-identical at any lane width** (including 1, the historical scalar
-//! explorer). Subtree memoization stitches verified replays into the same
-//! result cache without simulating them. The whole [`ExploreStats`],
-//! including the [`BatchExploreStats`] telemetry, is a function of the
-//! program, the configuration and the lane width (and of the memo's
-//! contents, when one is attached).
+//! explorer). The whole [`ExploreStats`], including the
+//! [`BatchExploreStats`] telemetry, is a function of the program, the
+//! configuration and the lane width.
 
-use crate::memo::{self, SubtreeMemo};
 use crate::tree::{ExecutionTree, ForkChoice, Segment, SegmentEnd, SegmentId};
 use crate::AnalysisError;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 use xbound_cpu::Cpu;
 use xbound_logic::{BatchFrame, Frame, LaneVal, Lv, XWord};
 use xbound_msp430::Program;
 use xbound_obs::{metrics, trace};
-use xbound_sim::{BatchSimulator, MachineState, MemRead, MemWrite, SimError};
+use xbound_sim::{BatchSimulator, MachineState, SimError};
 
 /// Global observability mirrors of the explorer's telemetry.
 ///
@@ -221,9 +217,6 @@ pub struct SymbolicExplorer<'c> {
     config: ExploreConfig,
     /// Positions of the PC register bits within the sequential-gate list.
     pc_ff_positions: Vec<usize>,
-    /// Subtree memo store plus its pre-computed context hash, when
-    /// incremental re-analysis is enabled.
-    memo: Option<(Arc<SubtreeMemo>, u64)>,
 }
 
 /// One simulated fork direction: the re-simulated branch cycle's frame and
@@ -233,10 +226,6 @@ struct ForkDir {
     after: MachineState,
     pc_after: Option<u16>,
     cycle_after: u64,
-    /// Every memory word written on the path through this direction's
-    /// branch cycle — the complete after-state delta for memoization
-    /// (empty when footprint logging is off).
-    written: Vec<(u16, u32)>,
 }
 
 /// How a fork-free run ended.
@@ -262,11 +251,6 @@ enum PathEnd {
 struct PathResult {
     frames: Vec<Frame>,
     end: PathEnd,
-    /// Read footprint for memoization — every `(region, offset, value)`
-    /// the run consulted before writing it itself. `Some` only for
-    /// freshly simulated paths with footprint logging on; memo replays
-    /// carry `None` so they are never re-recorded.
-    reads: Option<Vec<(u16, u32, XWord)>>,
 }
 
 /// A branch created at a fork but not yet explored.
@@ -305,66 +289,6 @@ enum LaneJob {
     Requested(usize),
 }
 
-/// Per-lane read-footprint bookkeeping for memoization: the first value
-/// read from every memory word the path did not write first, plus the
-/// written set itself. Fork re-simulation runs both directions off one
-/// base state, so the written set is snapshotted when the fork is
-/// detected and rolled back between directions; footprint reads are
-/// never rolled back (a read that happened is a dependency regardless of
-/// which direction issued it, and both directions observe start-state
-/// values for words the rolled-back set no longer covers).
-#[derive(Default)]
-struct LaneFootprint {
-    on: bool,
-    reads: HashMap<(u16, u32), XWord>,
-    written: HashSet<(u16, u32)>,
-    fork_base: Option<HashSet<(u16, u32)>>,
-}
-
-impl LaneFootprint {
-    fn active() -> LaneFootprint {
-        LaneFootprint {
-            on: true,
-            ..LaneFootprint::default()
-        }
-    }
-
-    fn read(&mut self, r: u16, o: u32, v: XWord) {
-        if self.on && !self.written.contains(&(r, o)) {
-            self.reads.entry((r, o)).or_insert(v);
-        }
-    }
-
-    fn write(&mut self, r: u16, o: u32) {
-        if self.on {
-            self.written.insert((r, o));
-        }
-    }
-
-    fn fork_snapshot(&mut self) {
-        if self.on {
-            self.fork_base = Some(self.written.clone());
-        }
-    }
-
-    fn fork_rollback(&mut self) {
-        if let Some(base) = &self.fork_base {
-            self.written = base.clone();
-        }
-    }
-
-    /// The current written set (sorted later, at record time).
-    fn written_vec(&self) -> Vec<(u16, u32)> {
-        self.written.iter().copied().collect()
-    }
-
-    /// Drains the footprint for the finished path's [`PathResult`].
-    fn finish(&mut self) -> Option<Vec<(u16, u32, XWord)>> {
-        self.on
-            .then(|| self.reads.drain().map(|((r, o), v)| (r, o, v)).collect())
-    }
-}
-
 /// Per-lane bookkeeping of one in-flight task.
 struct LaneRun {
     job: LaneJob,
@@ -382,7 +306,6 @@ struct LaneRun {
     /// at eval; the matching after-state needs the commit).
     pending_first: Option<Frame>,
     dirs: Vec<ForkDir>,
-    foot: LaneFootprint,
 }
 
 impl LaneRun {
@@ -398,7 +321,6 @@ impl LaneRun {
             base: None,
             pending_first: None,
             dirs: Vec::new(),
-            foot: LaneFootprint::default(),
         }
     }
 
@@ -439,32 +361,17 @@ struct PathRunner<'c> {
     cur_lane: Vec<Frame>,
     change_buf: Vec<u32>,
     stats: BatchExploreStats,
-    /// Footprint logging for memoization (mirrors the engine's
-    /// mem-access logging flag).
-    log_mem: bool,
-    read_buf: Vec<MemRead>,
-    write_buf: Vec<MemWrite>,
 }
 
 impl<'c> PathRunner<'c> {
     /// A runner whose engine has the program image loaded (symbolic:
-    /// memory stays X) and `reset_cycles` of reset scheduled: the
-    /// configured reset when the runner will simulate the root path, 0
-    /// otherwise (every later branch starts from a post-reset snapshot).
-    /// `log_mem` turns on per-lane read/write footprint capture for
-    /// memoization.
-    fn new(
-        cpu: &'c Cpu,
-        program: &Program,
-        lanes: usize,
-        reset_cycles: u32,
-        log_mem: bool,
-    ) -> PathRunner<'c> {
+    /// memory stays X) and `reset_cycles` of reset scheduled ahead of the
+    /// root path (every later branch starts from a post-reset snapshot).
+    fn new(cpu: &'c Cpu, program: &Program, lanes: usize, reset_cycles: u32) -> PathRunner<'c> {
         let mut sim = cpu.new_batch_sim(lanes);
         Cpu::load_program_batch(&mut sim, program, false);
         sim.reset(reset_cycles);
         sim.set_change_logging(true);
-        sim.set_mem_access_logging(log_mem);
         PathRunner {
             sim,
             prev: None,
@@ -474,50 +381,7 @@ impl<'c> PathRunner<'c> {
                 lanes: lanes as u64,
                 ..BatchExploreStats::default()
             },
-            log_mem,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
         }
-    }
-
-    /// Attributes engine-logged memory reads to their lanes' footprints.
-    fn drain_reads(&mut self, runs: &mut [LaneRun]) {
-        if !self.log_mem {
-            return;
-        }
-        self.sim.swap_mem_reads(&mut self.read_buf);
-        for ev in self.read_buf.drain(..) {
-            runs[ev.lane as usize]
-                .foot
-                .read(ev.region, ev.offset, ev.value);
-        }
-    }
-
-    /// Attributes commit-time events. Reads first: a joined write logs
-    /// the word's prior value as a read *before* its own write lands in
-    /// the written set, so a word first touched by this very commit still
-    /// reports the value it had at path start.
-    fn drain_commit(&mut self, runs: &mut [LaneRun]) {
-        if !self.log_mem {
-            return;
-        }
-        self.drain_reads(runs);
-        self.sim.swap_mem_writes(&mut self.write_buf);
-        for ev in self.write_buf.drain(..) {
-            runs[ev.lane as usize].foot.write(ev.region, ev.offset);
-        }
-    }
-
-    /// Clears pending engine logs without attributing them, so an
-    /// aborted batch cannot leak events into the next one.
-    fn discard_mem_log(&mut self) {
-        if !self.log_mem {
-            return;
-        }
-        self.sim.swap_mem_reads(&mut self.read_buf);
-        self.read_buf.clear();
-        self.sim.swap_mem_writes(&mut self.write_buf);
-        self.write_buf.clear();
     }
 
     /// Refreshes the per-lane scalar frames from the settled batch frame:
@@ -577,9 +441,6 @@ impl<'c> PathRunner<'c> {
             let slot = requested_out.len();
             requested_out.push(None);
             runs[l] = LaneRun::start(LaneJob::Requested(slot), t.pre_frames, start_cycle);
-            if self.log_mem {
-                runs[l].foot = LaneFootprint::active();
-            }
         }
 
         /// Moves a finished lane's result out and frees the lane.
@@ -589,11 +450,10 @@ impl<'c> PathRunner<'c> {
             requested_out: &mut [Option<PathResult>],
             requested_active: &mut usize,
         ) {
-            let mut done = std::mem::replace(run, LaneRun::idle());
+            let done = std::mem::replace(run, LaneRun::idle());
             let result = PathResult {
                 frames: done.frames,
                 end,
-                reads: done.foot.finish(),
             };
             match done.job {
                 LaneJob::None => unreachable!("finished an unoccupied lane"),
@@ -643,14 +503,12 @@ impl<'c> PathRunner<'c> {
                         );
                     }
                 }
-                self.discard_mem_log();
                 break;
             }
             self.stats.gate_passes += 1;
             self.stats.active_lane_cycles += active as u64;
             self.stats.idle_lane_cycles += (lanes - active) as u64;
             self.refresh_lane_frames();
-            self.drain_reads(&mut runs);
             let next = self.sim.ff_next_lanes();
 
             // Pre-commit lane processing. Only lanes that take this pass's
@@ -713,7 +571,6 @@ impl<'c> PathRunner<'c> {
                         };
                         run.branch_pc = branch_pc;
                         run.base = Some(self.sim.lane_machine_state_at(l, run.cycle()));
-                        run.foot.fork_snapshot();
                         post.push(PostCommit::StartDir { lane: l, dir: 0 });
                     }
                     LanePhase::ForkDir { dir } => {
@@ -727,7 +584,6 @@ impl<'c> PathRunner<'c> {
             }
 
             self.sim.commit_with_next_masked(&next, commit_mask);
-            self.drain_commit(&mut runs);
 
             for action in post {
                 match action {
@@ -749,14 +605,10 @@ impl<'c> PathRunner<'c> {
                             pc_after: x.pc_of_state(&after).to_u16(),
                             after,
                             cycle_after,
-                            written: run.foot.written_vec(),
                         });
                         if dir == 0 {
+                            // Direction 1 starts from the pre-fork state again.
                             let base = run.base.as_ref().expect("fork base");
-                            // The state restore bypasses write logging, so
-                            // roll the written set back by hand: direction 1
-                            // starts from the pre-fork memory again.
-                            run.foot.fork_rollback();
                             self.sim.set_lane_machine_state(lane, base);
                             self.sim.force_lane(bt, lane, Some(Lv::Zero));
                             run.phase = LanePhase::ForkDir { dir: 1 };
@@ -807,74 +659,7 @@ impl<'c> SymbolicExplorer<'c> {
             cpu,
             config,
             pc_ff_positions,
-            memo: None,
         }
-    }
-
-    /// Attaches a subtree memo store (with its pre-computed
-    /// [`crate::memo::context_hash`]): verified entries are replayed and
-    /// stitched into the tree instead of re-simulated, and every freshly
-    /// simulated halting or forking path is recorded. The commit loop is
-    /// unchanged, so results stay byte-identical to a memo-less run.
-    pub fn with_memo(mut self, store: Arc<SubtreeMemo>, ctx: u64) -> SymbolicExplorer<'c> {
-        self.memo = Some((store, ctx));
-        self
-    }
-
-    /// Looks `state` up in the memo (when attached) and rebuilds the
-    /// [`PathResult`] exactly as simulation would have produced it.
-    fn memo_replay(&self, pre_frames: u64, state: &MachineState) -> Option<PathResult> {
-        let (store, ctx) = self.memo.as_ref()?;
-        let replayed = store.lookup(*ctx, pre_frames, state)?;
-        let frame_count = replayed.frames.len() as u64;
-        let end = match replayed.end {
-            memo::ReplayedEnd::Halt => PathEnd::Halt,
-            memo::ReplayedEnd::Fork { branch_pc, dirs } => PathEnd::Fork {
-                branch_pc,
-                dirs: dirs
-                    .into_iter()
-                    .map(|(first_frame, after)| ForkDir {
-                        pc_after: self.pc_of_state(&after).to_u16(),
-                        cycle_after: state.cycle() + frame_count + 1,
-                        first_frame,
-                        after,
-                        written: Vec::new(),
-                    })
-                    .collect(),
-            },
-        };
-        Some(PathResult {
-            frames: replayed.frames,
-            end,
-            reads: None,
-        })
-    }
-
-    /// Memoizes a committed path. Only halting and forking ends are
-    /// recorded; replayed results carry no footprint and are skipped.
-    fn memo_record(&self, pre_frames: u64, start: &MachineState, result: &PathResult) {
-        let Some((store, ctx)) = self.memo.as_ref() else {
-            return;
-        };
-        let Some(reads) = &result.reads else {
-            return;
-        };
-        let outcome = match &result.end {
-            PathEnd::Halt => memo::PathOutcome::Halt,
-            PathEnd::Fork { branch_pc, dirs } => memo::PathOutcome::Fork {
-                branch_pc: *branch_pc,
-                dirs: dirs
-                    .iter()
-                    .map(|d| memo::RecordedDir {
-                        first_frame: &d.first_frame,
-                        after: &d.after,
-                        written: &d.written,
-                    })
-                    .collect(),
-            },
-            _ => return,
-        };
-        store.record(*ctx, pre_frames, start, &result.frames, reads, outcome);
     }
 
     fn pc_of_state(&self, s: &MachineState) -> XWord {
@@ -917,9 +702,8 @@ impl<'c> SymbolicExplorer<'c> {
     }
 
     /// Obtains the result for a pending path: from the result cache (a
-    /// memo replay, or a batch-mate of an earlier fetch), or by simulating
-    /// it batched with the top of the pending stack — the branches DFS
-    /// will pop next.
+    /// batch-mate of an earlier fetch), or by simulating it batched with
+    /// the top of the pending stack — the branches DFS will pop next.
     fn fetch(
         &self,
         runner: &mut PathRunner<'c>,
@@ -962,9 +746,7 @@ impl<'c> SymbolicExplorer<'c> {
         program: &Program,
         lanes: usize,
     ) -> Result<(ExecutionTree, ExploreStats), AnalysisError> {
-        let log_mem = self.memo.is_some();
-        let mut runner =
-            PathRunner::new(self.cpu, program, lanes, self.config.reset_cycles, log_mem);
+        let mut runner = PathRunner::new(self.cpu, program, lanes, self.config.reset_cycles);
         let mut cache: HashMap<u64, PathResult> = HashMap::new();
 
         let mut tree = ExecutionTree::new();
@@ -989,40 +771,18 @@ impl<'c> SymbolicExplorer<'c> {
         let mut current = root;
         // Root starts from the engine's power-on state (lane 0; the other
         // lanes idle through it).
-        // For memoization it is also a snapshot like any other path start:
-        // keyed at budget position 0, footprint-checked like the rest.
-        let mut cur_start = if log_mem {
-            Some(runner.sim.lane_machine_state_at(0, runner.sim.cycle()))
-        } else {
-            None
-        };
-        let mut cur_pre: u64 = 0;
-        let mut result = match cur_start.as_ref().and_then(|s| self.memo_replay(0, s)) {
-            Some(r) => {
-                // The engine never simulated the root, so its scheduled
-                // reset is still pending; rebuild it reset-free so later
-                // batches start from their post-reset snapshots.
-                runner = PathRunner::new(self.cpu, program, lanes, 0, log_mem);
-                r
-            }
-            None => runner
-                .run_batch(
-                    self,
-                    vec![BatchTask {
-                        start: None,
-                        pre_frames: 0,
-                    }],
-                )
-                .pop()
-                .expect("root path simulated"),
-        };
+        let mut result = runner
+            .run_batch(
+                self,
+                vec![BatchTask {
+                    start: None,
+                    pre_frames: 0,
+                }],
+            )
+            .pop()
+            .expect("root path simulated");
 
         loop {
-            // Memoize the committed path before its frames move into the
-            // tree (replays carry no footprint and are never re-recorded).
-            if let Some(start) = &cur_start {
-                self.memo_record(cur_pre, start, &result);
-            }
             // Commit `result` into segment `current`.
             trace::instant_args("commit", || {
                 vec![
@@ -1126,12 +886,6 @@ impl<'c> SymbolicExplorer<'c> {
                         entry.seen.push((state_to_push.clone(), child));
                         let task = next_task;
                         next_task += 1;
-                        // Warm path: a verified memo entry is stitched in
-                        // via the result cache, and no lane ever simulates
-                        // this branch.
-                        if let Some(r) = self.memo_replay(1, &state_to_push) {
-                            cache.insert(task, r);
-                        }
                         stack.push(PendingPath {
                             seg: child,
                             task,
@@ -1164,8 +918,6 @@ impl<'c> SymbolicExplorer<'c> {
                     result = self.fetch(&mut runner, &mut cache, &stack, &p);
                     current = p.seg;
                     cur_depth = p.depth;
-                    cur_pre = 1;
-                    cur_start = Some(p.state);
                 }
             }
         }

@@ -456,7 +456,6 @@ pub struct CoAnalysis<'s> {
     system: &'s UlpSystem,
     config: ExploreConfig,
     energy_rounds: u64,
-    memo: Option<std::sync::Arc<memo::SubtreeMemo>>,
 }
 
 impl<'s> CoAnalysis<'s> {
@@ -466,7 +465,6 @@ impl<'s> CoAnalysis<'s> {
             system,
             config: ExploreConfig::default(),
             energy_rounds: 10_000,
-            memo: None,
         }
     }
 
@@ -483,20 +481,9 @@ impl<'s> CoAnalysis<'s> {
         self
     }
 
-    /// Attaches (or detaches, with `None`) a subtree memo store for
-    /// incremental re-analysis. The context hash binding the store to
-    /// this system's exploration knobs, cell library, and clock is
-    /// computed here; the result is byte-identical either way (see
-    /// [`memo::SubtreeMemo`]).
-    pub fn memo(mut self, memo: Option<std::sync::Arc<memo::SubtreeMemo>>) -> CoAnalysis<'s> {
-        self.memo = memo;
-        self
-    }
-
     /// Runs Algorithm 1, then Algorithm 2 and the peak-energy computation
     /// as a one-corner sweep ([`bound_tree`]) at this system's library and
-    /// clock. With a memo attached, Algorithm 2 replays per-segment traces
-    /// from its [`memo::SegmentPowerCache`].
+    /// clock.
     ///
     /// # Errors
     ///
@@ -504,16 +491,8 @@ impl<'s> CoAnalysis<'s> {
     pub fn run(self, program: &Program) -> Result<Analysis<'s>, AnalysisError> {
         let _span = xbound_obs::trace::span("co_analysis");
         xbound_obs::metrics::counter("xbound_analyses_total").inc();
-        let mut explorer = SymbolicExplorer::new(self.system.cpu(), self.config);
-        if let Some(store) = &self.memo {
-            let ctx = memo::context_hash(
-                &self.config,
-                self.system.library().name(),
-                self.system.clock_hz(),
-            );
-            explorer = explorer.with_memo(store.clone(), ctx);
-        }
-        let (tree, stats) = explorer.explore(program)?;
+        let (tree, stats) =
+            SymbolicExplorer::new(self.system.cpu(), self.config).explore(program)?;
         let spec = SweepSpec::new(vec![Corner::nominal(
             self.system.library().clone(),
             self.system.clock_hz(),
@@ -525,7 +504,6 @@ impl<'s> CoAnalysis<'s> {
             true,
             self.energy_rounds,
             1,
-            self.memo.as_deref().map(memo::SubtreeMemo::power),
             |_, bound| bound,
         )
         .pop()

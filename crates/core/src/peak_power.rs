@@ -469,8 +469,8 @@ impl<'t> AssignPlan<'t> {
     ///
     /// A segment's result depends only on its adjusted frames, its
     /// parent's adjusted last frame, its start-cycle parity, and the
-    /// table, whatever else shares its blocks — which is what makes the
-    /// segment-power cache ([`crate::memo::SegmentPowerCache`]) sound.
+    /// table, whatever else shares its blocks, so the grouping of
+    /// segments into blocks never changes a bound.
     pub(crate) fn assign(
         &self,
         segs: &[usize],
@@ -1017,7 +1017,7 @@ mod tests {
         let tree = single_segment_tree(&nl, &rows);
         let lib = xbound_cells::CellLibrary::ulp65();
         let spec = crate::SweepSpec::new(vec![crate::Corner::nominal(lib, 1.0e6)]);
-        let bound = crate::bound_tree(&nl, &tree, &spec, true, 100, 1, None, |_, b| b);
+        let bound = crate::bound_tree(&nl, &tree, &spec, true, 100, 1, |_, b| b);
         let e = compute_peak_energy(&tree, &bound[0].peak, 1.0e6, 100);
         assert_eq!(
             e, bound[0].energy,

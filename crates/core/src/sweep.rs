@@ -44,7 +44,6 @@
 //! (`crates/core/tests/sweep_differential.rs` pins this).
 
 use crate::activity::{ExploreConfig, ExploreStats, SymbolicExplorer};
-use crate::memo::{PowerKey, SegmentPowerCache};
 use crate::peak_power::{
     self, AssignPlan, MaxTransitions, PeakEnergyResult, PeakPowerResult, TreeEnergyTraces,
 };
@@ -58,7 +57,7 @@ use xbound_cpu::Cpu;
 use xbound_msp430::Program;
 use xbound_netlist::Netlist;
 use xbound_obs::{metrics, trace};
-use xbound_power::{EnergyTrace, PowerAnalyzer};
+use xbound_power::PowerAnalyzer;
 
 /// Registry mirrors of the sweep's reuse-tier telemetry, fed once per
 /// [`run_sweep`] after the deterministic [`SweepStats`] are final.
@@ -291,14 +290,6 @@ impl<'s> Groups<'s> {
     }
 }
 
-/// One (segment, derated library) of a fan-out unit in [`bound_tree`]:
-/// its even/odd energy traces once known (from the cache, or computed),
-/// and the cache key to record computed traces under.
-struct Slot {
-    traces: Option<(EnergyTrace, EnergyTrace)>,
-    key: Option<PowerKey>,
-}
-
 /// Algorithm 2 and the peak-energy pass for every corner of `spec` over
 /// one explored `tree` — the single implementation behind both
 /// [`crate::CoAnalysis::run`] (a one-corner spec) and [`run_sweep`].
@@ -324,11 +315,6 @@ struct Slot {
 /// sweep that needs one [`BoundsReport`] per corner never holds every
 /// corner's per-cycle traces at once.
 ///
-/// With a `cache`, each (segment, derated library) trace pair is looked
-/// up before it is computed and recorded after, and a segment whose
-/// every library hits adds no pairs to a stability block; a hit is
-/// bit-identical to the recomputation, so the result never depends on
-/// the cache.
 /// `use_stability = false` is the ablation of the stability refinement
 /// (the paper's literal maximizing assignment).
 #[allow(clippy::too_many_arguments)]
@@ -339,7 +325,6 @@ pub fn bound_tree<R: Send>(
     use_stability: bool,
     energy_rounds: u64,
     threads: usize,
-    cache: Option<&SegmentPowerCache>,
     finish: impl Fn(usize, CornerBound) -> R + Sync,
 ) -> Vec<R> {
     let _span = trace::span_args("peak_power_compose", || {
@@ -374,50 +359,14 @@ pub fn bound_tree<R: Send>(
         let libs: Vec<usize> = (0..groups.libs.len())
             .filter(|&l| groups.libs[l].1 == b)
             .collect();
-        let mut slots: Vec<Vec<Slot>> = unit
-            .clone()
-            .map(|si| {
-                let seg = &tree.segments()[si];
-                let boundary = peak_power::boundary(tree, &adjusted, si);
-                libs.iter()
-                    .map(|&l| {
-                        let key = cache.map(|_| {
-                            PowerKey::new(
-                                groups.libs[l].0.name(),
-                                use_stability,
-                                seg.start_cycle % 2 == 1,
-                                boundary,
-                                &adjusted[si],
-                            )
-                        });
-                        let traces = cache.zip(key.as_ref()).and_then(|(c, k)| c.lookup(k));
-                        Slot { traces, key }
-                    })
-                    .collect()
-            })
-            .collect();
-        let misses: Vec<usize> = unit
-            .clone()
-            .filter(|si| slots[si - unit.start].iter().any(|s| s.traces.is_none()))
-            .collect();
-        let assigned = plan.assign(&misses, &tables[b]);
+        let segments: Vec<usize> = unit.collect();
+        let assigned = plan.assign(&segments, &tables[b]);
         let _span = trace::span("alg2_energy");
-        for (si, (even, odd)) in misses.into_iter().zip(assigned) {
-            for (slot, &l) in slots[si - unit.start].iter_mut().zip(&libs) {
-                if slot.traces.is_none() {
-                    let traces = peak_power::analyze_segment_energy(&analyzers[l], &even, &odd);
-                    if let (Some(c), Some(k)) = (cache, slot.key.take()) {
-                        c.record(k, &traces.0, &traces.1);
-                    }
-                    slot.traces = Some(traces);
-                }
-            }
-        }
-        slots
-            .into_iter()
-            .flat_map(|per_lib| {
-                libs.iter().zip(per_lib).map(|(&l, slot)| {
-                    let traces = slot.traces.expect("every miss was computed");
+        assigned
+            .iter()
+            .flat_map(|(even, odd)| {
+                libs.iter().map(|&l| {
+                    let traces = peak_power::analyze_segment_energy(&analyzers[l], even, odd);
                     (l, traces)
                 })
             })
@@ -505,7 +454,6 @@ pub fn run_sweep(
         true,
         energy_rounds,
         threads,
-        None,
         |i, b| CornerResult {
             corner: spec.corners()[i].clone(),
             report: BoundsReport::from_parts(&tree, &explore, &b.peak, &b.energy),

@@ -1,7 +1,6 @@
 //! Packed per-cycle value frames.
 
 use crate::Lv;
-use std::hash::{Hash, Hasher};
 
 /// The value of every net in a netlist at one instant, packed 2 bits per net.
 ///
@@ -10,7 +9,7 @@ use std::hash::{Hash, Hasher};
 /// Algorithm 2's even/odd X-assignment reads pairs of consecutive frames.
 ///
 /// Two bit-planes are kept (`val`, `unk`) so that common operations — toggle
-/// counting, subsumption checks, hashing — reduce to word-wide bit math.
+/// counting, subsumption checks — reduce to word-wide bit math.
 ///
 /// # Example
 ///
@@ -413,31 +412,6 @@ impl Frame {
             self.val[w] &= !unk;
         }
     }
-
-    /// A 64-bit content hash (FNV-1a over both planes).
-    pub fn content_hash(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut mix = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        mix(self.len as u64);
-        for &w in &self.val {
-            mix(w);
-        }
-        for &w in &self.unk {
-            mix(w);
-        }
-        h
-    }
-}
-
-impl Hash for Frame {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.content_hash());
-    }
 }
 
 impl FromIterator<Lv> for Frame {
@@ -698,17 +672,6 @@ mod tests {
         assert!(j.covers(&a) && j.covers(&b));
         assert_eq!(j.get(1), Lv::X);
         assert_eq!(j.get(0), Lv::Zero);
-    }
-
-    #[test]
-    fn content_hash_differs_for_x_vs_one() {
-        let mut a = Frame::new(10);
-        let mut b = Frame::new(10);
-        a.set(5, Lv::X);
-        b.set(5, Lv::One);
-        assert_ne!(a.content_hash(), b.content_hash());
-        let c = a.clone();
-        assert_eq!(a.content_hash(), c.content_hash());
     }
 
     #[test]

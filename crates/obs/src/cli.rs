@@ -1,6 +1,5 @@
 //! The command-line parser every front end shares (`suite_summary`,
-//! `experiments`, `incremental_replay`, `xbound-serve`, `xbound-client`,
-//! `trace_check`).
+//! `experiments`, `xbound-serve`, `xbound-client`, `trace_check`).
 //!
 //! One convention for all of them:
 //!

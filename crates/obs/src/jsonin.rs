@@ -2,8 +2,8 @@
 //! [`jsonout`](crate::jsonout).
 //!
 //! One strict recursive-descent parser into a small [`Json`] value tree,
-//! shared by the service protocol, the on-disk bound cache, and the
-//! subtree memo table. Numbers parse through [`str::parse::<f64>`], which
+//! shared by the service protocol and the on-disk bound cache. Numbers
+//! parse through [`str::parse::<f64>`], which
 //! recovers the exact `f64` from the shortest-representation form
 //! `jsonout` emits, so parse → re-serialize is the identity on bytes for
 //! every document the workspace produces (the service's byte-identity

@@ -2,8 +2,8 @@
 //! touching what the analyses compute.
 //!
 //! The co-analysis pipeline is a multi-stage concurrent system — a
-//! batched symbolic explorer, memoized re-analysis, an operating-point
-//! sweep engine, and a TCP daemon — whose byte-identity
+//! batched symbolic explorer, an operating-point sweep engine, and a
+//! TCP daemon — whose byte-identity
 //! contract forbids any timing-dependent output in result artifacts.
 //! This crate is the layer *outside* that contract:
 //!

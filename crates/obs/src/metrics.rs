@@ -2,7 +2,7 @@
 //! fixed-bucket histograms.
 //!
 //! The workspace grew its telemetry ad hoc — explorer batching counters
-//! in `ExploreStats::batch`, memo hit/miss atomics, the service `stats`
+//! in `ExploreStats::batch`, cache hit/miss atomics, the service `stats`
 //! response, one-off `sweep:` lines. This module gives them one place to
 //! land: instruments are registered by name, updated with relaxed atomic
 //! operations (an update never takes a lock), and snapshotted on demand
@@ -78,7 +78,7 @@ impl Gauge {
 /// Upper bounds (inclusive) of the fixed duration buckets, in
 /// microseconds: 100µs, 1ms, 10ms, 100ms, 1s, 10s, +Inf. Coarse
 /// power-of-ten buckets keep `observe` to one comparison chain and cover
-/// everything from a memo lookup to a full-suite sweep.
+/// everything from a cache lookup to a full-suite sweep.
 pub const DURATION_BUCKETS_US: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
 struct HistogramInner {

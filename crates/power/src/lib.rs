@@ -187,16 +187,6 @@ impl EnergyTrace {
         self.per_cycle_fj.len()
     }
 
-    /// Approximate resident size of this trace in bytes — used by
-    /// byte-budgeted caches (the incremental re-analysis segment-power
-    /// cache) to account evictions. Counts the per-cycle and per-module
-    /// tables; allocator overhead is ignored.
-    pub fn approx_bytes(&self) -> u64 {
-        let doubles =
-            self.per_cycle_fj.len() + self.per_module_fj.iter().map(Vec::len).sum::<usize>();
-        (doubles * 8) as u64 + 64
-    }
-
     /// Converts to the [`PowerTrace`] that `analyzer` would have produced
     /// by analyzing the same frames directly — bit-identical, because
     /// both paths compute `(leakage + clock) + fj × (clock_hz × 1e-12)`

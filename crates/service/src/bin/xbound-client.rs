@@ -273,10 +273,10 @@ fn stats(addr: &str, watch: Option<u64>) {
             }
         };
         println!(
-            "{line} queue={} inflight={} memo_hits={}",
+            "{line} queue={} inflight={} coalesced={}",
             field(&v, "queue_depth"),
             field(&v, "inflight"),
-            field(&v, "memo_hits"),
+            field(&v, "coalesced"),
         );
         prev = Some((now, requests, hits, analyses));
         std::thread::sleep(Duration::from_secs(secs));

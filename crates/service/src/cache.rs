@@ -139,6 +139,12 @@ impl KeyMaterial {
     }
 
     /// Reads the material back from a cache-file object.
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing, mistyped or out-of-range field. The image
+    /// must be pairs of hex digits, and `widen_threshold`/`reset_cycles`
+    /// must fit in `u32`.
     pub fn from_json(v: &Json) -> Result<KeyMaterial, String> {
         let image_hex = v
             .get("image")
@@ -147,10 +153,15 @@ impl KeyMaterial {
         if image_hex.len() % 2 != 0 {
             return Err("key: odd-length image hex".to_string());
         }
-        let image = (0..image_hex.len() / 2)
-            .map(|i| u8::from_str_radix(&image_hex[2 * i..2 * i + 2], 16))
-            .collect::<Result<Vec<u8>, _>>()
-            .map_err(|_| "key: bad image hex".to_string())?;
+        // Decoded from bytes, so a multi-byte character is a bad digit,
+        // never a slice through a character boundary.
+        let digit = |b: u8| char::from(b).to_digit(16);
+        let image = image_hex
+            .as_bytes()
+            .chunks(2)
+            .map(|pair| Some((digit(pair[0])? << 4 | digit(pair[1])?) as u8))
+            .collect::<Option<Vec<u8>>>()
+            .ok_or("key: bad image hex")?;
         let str_field = |k: &str| -> Result<String, String> {
             Ok(v.get(k)
                 .and_then(Json::as_str)
@@ -162,6 +173,9 @@ impl KeyMaterial {
                 .and_then(Json::as_u64)
                 .ok_or(format!("key: missing {k}"))
         };
+        let u32_field = |k: &str| -> Result<u32, String> {
+            u32::try_from(u64_field(k)?).map_err(|_| format!("key: {k} out of range"))
+        };
         Ok(KeyMaterial {
             image,
             library: str_field("library")?,
@@ -171,8 +185,8 @@ impl KeyMaterial {
                 .ok_or("key: missing clock_hz")?,
             max_segment_cycles: u64_field("max_segment_cycles")?,
             max_total_cycles: u64_field("max_total_cycles")?,
-            widen_threshold: u64_field("widen_threshold")? as u32,
-            reset_cycles: u64_field("reset_cycles")? as u32,
+            widen_threshold: u32_field("widen_threshold")?,
+            reset_cycles: u32_field("reset_cycles")?,
             energy_rounds: u64_field("energy_rounds")?,
         })
     }
@@ -499,6 +513,43 @@ mod tests {
         assert_eq!(r, report(4.5));
         // Promoted: the second lookup is a memory hit.
         assert_eq!(cache.get(&key).unwrap().1, CacheHit::Memory);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cache file is outside input: a stored image with a multi-byte
+    /// character or a non-hex digit, or a `u32` knob out of range, is a
+    /// parse error, so the lookup reads the file as a miss (and never
+    /// panics on the connection thread that asked).
+    #[test]
+    fn crafted_cache_files_read_as_misses() {
+        let dir = std::env::temp_dir().join(format!("xbound-cache-craft-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let key = material(4);
+        BoundCache::new(4, Some(dir.clone())).put(&key, &report(1.0));
+        let path = dir.join(format!("{}.json", key.hex()));
+        let stored = std::fs::read_to_string(&path).unwrap();
+        let fresh_get = || BoundCache::new(4, Some(dir.clone())).get(&key);
+        assert_eq!(fresh_get().map(|(_, hit)| hit), Some(CacheHit::Disk));
+        for (field, crafted) in [
+            ("\"image\": \"04010203\"", "\"image\": \"0\u{e9}203\""),
+            ("\"image\": \"04010203\"", "\"image\": \"+4010203\""),
+            (
+                "\"widen_threshold\": 4,",
+                "\"widen_threshold\": 4294967300,",
+            ),
+            ("\"reset_cycles\": 2,", "\"reset_cycles\": 4294967298,"),
+        ] {
+            assert!(stored.contains(field), "{stored}");
+            let doc = stored.replace(field, crafted);
+            std::fs::write(&path, &doc).unwrap();
+            let parsed = Json::parse(&doc).unwrap();
+            assert!(
+                KeyMaterial::from_json(parsed.get("key").unwrap()).is_err(),
+                "{crafted}"
+            );
+            assert!(fresh_get().is_none(), "{crafted}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,7 @@
-//! JSON value parsing for the service protocol and the on-disk caches.
+//! JSON value parsing for the service protocol and the on-disk bound
+//! cache.
 //!
-//! The parser itself lives in [`xbound_core::jsonin`] (the memo table
-//! decodes its entries core-side with the same grammar); this module
+//! The parser itself lives in [`xbound_core::jsonin`]; this module
 //! re-exports it under the service's historical path. The writer half is
 //! [`xbound_core::jsonout`]. Both sides reject non-finite numbers, so
 //! parse → re-serialize stays the identity on bytes for every document

@@ -42,8 +42,9 @@ pub const DEFAULT_ENERGY_ROUNDS: u64 = 10_000;
 /// `version` field of `stats`/`metrics` responses so clients can warn on
 /// daemon/client drift. Rev 3 dropped the four `explore_*` scheduling
 /// fields of `stats` (`explore_steals`, `explore_steal_failures`,
-/// `explore_idle_wakeups`, `explore_max_speculation_depth`).
-pub const PROTOCOL_REV: u32 = 3;
+/// `explore_idle_wakeups`, `explore_max_speculation_depth`); rev 4
+/// dropped its seven `memo_*` fields with the subtree memo.
+pub const PROTOCOL_REV: u32 = 4;
 
 /// The `version` string stamped into `stats`/`metrics` responses and
 /// compared by `xbound-client`: `<crate-version>+p<protocol-rev>`.

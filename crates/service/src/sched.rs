@@ -24,7 +24,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use xbound_core::memo::{MemoStats, SubtreeMemo};
+use xbound_core::memo::MemoStats;
 use xbound_core::sweep::{run_sweep, Corner, SweepSpec};
 use xbound_core::{par, BoundsReport, CoAnalysis, ExploreConfig, UlpSystem};
 use xbound_msp430::Program;
@@ -136,9 +136,6 @@ struct Shared {
     queue_capacity: usize,
     system: UlpSystem,
     cache: Arc<BoundCache>,
-    /// Subtree memo shared by every worker (incremental re-analysis);
-    /// `None` when disabled via `XBOUND_MEMO=0`.
-    memo: Option<Arc<SubtreeMemo>>,
     analyses_run: AtomicU64,
     coalesced: AtomicU64,
     /// Sweep jobs executed (each = one shared exploration).
@@ -160,14 +157,10 @@ pub struct Scheduler {
 impl Scheduler {
     /// Spawns `workers` analysis workers (`0` = auto via
     /// [`par::resolve_threads`]) over a queue bounded at
-    /// `queue_capacity` jobs. `memo` (when present) is shared by every
-    /// worker: repeat analyses of identical or near-identical programs
-    /// replay memoized execution subtrees and segment-power traces; the
-    /// reports stay byte-identical to memo-less runs.
+    /// `queue_capacity` jobs.
     pub fn new(
         system: UlpSystem,
         cache: Arc<BoundCache>,
-        memo: Option<Arc<SubtreeMemo>>,
         workers: usize,
         queue_capacity: usize,
     ) -> Scheduler {
@@ -183,7 +176,6 @@ impl Scheduler {
             queue_capacity: queue_capacity.max(1),
             system,
             cache,
-            memo,
             analyses_run: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             sweeps_run: AtomicU64::new(0),
@@ -248,23 +240,16 @@ impl Scheduler {
         self.shared.sweep_tree_reuse.load(Ordering::Relaxed)
     }
 
-    /// `true` when a subtree memo is attached.
-    pub fn memo_enabled(&self) -> bool {
-        self.shared.memo.is_some()
-    }
-
-    /// Subtree-memo counters (all zero when the memo is disabled).
+    /// Always zero: the scheduler has no subtree memo. Kept only because
+    /// the benchmark (`xbench/`) reads it; it goes at the next change to
+    /// the benchmark.
     pub fn memo_stats(&self) -> MemoStats {
-        self.shared
-            .memo
-            .as_ref()
-            .map(|m| m.stats())
-            .unwrap_or_default()
+        MemoStats::default()
     }
 
-    /// Resident subtree-memo entries (0 when disabled).
+    /// Always 0, like [`Self::memo_stats`] and for the same reason.
     pub fn memo_entries(&self) -> usize {
-        self.shared.memo.as_ref().map_or(0, |m| m.entries())
+        0
     }
 
     /// Analyzes `program` under `config`, deduplicating against the cache
@@ -515,7 +500,6 @@ fn worker_loop(shared: &Shared) {
                     CoAnalysis::new(&shared.system)
                         .config(job.config)
                         .energy_rounds(job.energy_rounds)
-                        .memo(shared.memo.clone())
                         .run(&job.program)
                         .map(|a| BoundsReport::from_analysis(&a))
                         .map_err(|e| e.to_string())
@@ -621,7 +605,7 @@ mod tests {
     fn scheduler(workers: usize) -> Scheduler {
         let system = UlpSystem::openmsp430_class().expect("builds");
         let cache = Arc::new(BoundCache::new(8, None));
-        Scheduler::new(system, cache, None, workers, 4)
+        Scheduler::new(system, cache, workers, 4)
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::cache::BoundCache;
 use crate::protocol::{self, Request};
 use crate::sched::Scheduler;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,6 +55,13 @@ fn service_metrics() -> &'static ServiceMetrics {
         request_us: metrics::histogram("xbound_service_request_duration_us"),
     })
 }
+
+/// The longest request line the daemon reads, newline excluded. The
+/// largest legal request, an image filling the 64 KiB address space, is
+/// under 1 MiB of JSON; a longer line gets one error response and the
+/// connection closes, so no client can grow the daemon's memory without
+/// bound.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
 
 /// Daemon configuration (the `xbound-serve` flags).
 #[derive(Debug, Clone)]
@@ -447,14 +454,6 @@ impl Service {
         // and fresh answers are byte-identical across engines, so it is
         // telemetry, not key material).
         w.field_str("sim_engine", xbound_core::sim_engine_name());
-        let memo = self.scheduler.memo_stats();
-        w.field_bool("memo_enabled", self.scheduler.memo_enabled());
-        w.field_u64("memo_entries", self.scheduler.memo_entries() as u64);
-        w.field_u64("memo_hits", memo.hits);
-        w.field_u64("memo_misses", memo.misses);
-        w.field_u64("memo_stitched_segments", memo.stitched_segments);
-        w.field_u64("memo_power_hits", memo.power_hits);
-        w.field_u64("memo_power_misses", memo.power_misses);
         w.field_u64("requests", self.requests.load(Ordering::Relaxed));
         match self.cache.dir() {
             Some(d) => w.field_str("cache_dir", &d.display().to_string()),
@@ -501,27 +500,10 @@ impl Server {
         let system = UlpSystem::openmsp430_class().map_err(|e| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, format!("core build: {e}"))
         })?;
-        let cache = Arc::new(BoundCache::new(config.cache_capacity, dir.clone()));
-        // Subtree memo for incremental re-analysis: on by default, opted
-        // out with `XBOUND_MEMO=0`. It persists next to the bound cache
-        // (same directory, same canonical encoding); `XBOUND_MEMO=mem` or
-        // a disabled disk cache keep it in memory only.
-        let memo = if xbound_core::memo::disabled_by_env() {
-            None
-        } else {
-            let memo_dir = match std::env::var("XBOUND_MEMO").as_deref().map(str::trim) {
-                Ok("mem") | Ok("memory") => None,
-                _ => dir,
-            };
-            Some(Arc::new(match memo_dir {
-                Some(d) => xbound_core::memo::SubtreeMemo::with_dir(d),
-                None => xbound_core::memo::SubtreeMemo::in_memory(),
-            }))
-        };
+        let cache = Arc::new(BoundCache::new(config.cache_capacity, dir));
         let scheduler = Scheduler::new(
             system,
             Arc::clone(&cache),
-            memo,
             config.workers,
             config.queue_capacity,
         );
@@ -643,13 +625,15 @@ fn handle_conn(service: &Arc<Service>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     'conn: loop {
         line.clear();
-        // `read_line` appends; on a timeout the partial data stays in
-        // `line` and the retry continues the same line.
+        // `read_until` appends; on a timeout the partial data stays in
+        // `line` and the retry continues the same line. The `take` stops
+        // reading one byte past the cap.
         loop {
-            match reader.read_line(&mut line) {
+            let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+            match reader.by_ref().take(room).read_until(b'\n', &mut line) {
                 Ok(0) => break 'conn,
                 Ok(_) => break,
                 Err(e)
@@ -666,6 +650,15 @@ fn handle_conn(service: &Arc<Service>, stream: TcpStream) {
                 Err(_) => break 'conn,
             }
         }
+        if line.strip_suffix(b"\n").unwrap_or(&line).len() > MAX_REQUEST_LINE {
+            let e = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+            let _ = writeln!(writer, "{}", protocol::error_response(&e));
+            let _ = writer.flush();
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&line) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }

@@ -1,7 +1,8 @@
 //! End-to-end daemon tests over real TCP connections: cache hits with
 //! byte-identical responses, single-flight deduplication of concurrent
-//! identical requests, warm restarts from the on-disk store, and
-//! byte-identity of daemon bounds against the direct `CoAnalysis` path.
+//! identical requests, warm restarts from the on-disk store,
+//! byte-identity of daemon bounds against the direct `CoAnalysis` path,
+//! the exact `stats` fields, and the request-line cap.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -269,5 +270,74 @@ fn sweep_streams_corner_stamped_bounds_that_compose_with_the_cache() {
     assert_eq!(stat(&stats, "sweep_tree_reuse"), 1, "{stats}");
     assert!(stat(&stats, "cache_hits_memory") >= 1, "{stats}");
     client.roundtrip(&protocol::op_request("shutdown"));
+    server.join();
+}
+
+/// `stats` carries exactly these fields, and its `version` names
+/// protocol rev 4.
+#[test]
+fn stats_response_has_exactly_the_documented_fields() {
+    let server = memory_only_server();
+    let mut client = Client::connect(server.addr());
+    let stats = client.roundtrip(&protocol::op_request("stats"));
+    let Ok(Json::Obj(fields)) = Json::parse(&stats) else {
+        panic!("stats is not an object: {stats}");
+    };
+    let mut expected = [
+        "ok",
+        "version",
+        "uptime_seconds",
+        "workers",
+        "queue_depth",
+        "inflight",
+        "cache_entries",
+        "cache_hits_memory",
+        "cache_hits_disk",
+        "cache_misses",
+        "coalesced",
+        "analyses_run",
+        "sweeps_run",
+        "sweep_corners",
+        "sweep_tree_reuse",
+        "sim_engine",
+        "requests",
+        "cache_dir",
+    ];
+    expected.sort_unstable();
+    assert_eq!(
+        fields.keys().map(String::as_str).collect::<Vec<_>>(),
+        expected
+    );
+    let version = fields["version"].as_str().expect("version is a string");
+    assert!(version.ends_with("+p4"), "{version}");
+    client.roundtrip(&protocol::op_request("shutdown"));
+    server.join();
+}
+
+/// A request line past the cap gets one error response and its
+/// connection closes; the daemon goes on serving other connections.
+#[test]
+fn over_long_request_line_is_refused_and_the_daemon_serves_on() {
+    let server = memory_only_server();
+    let mut client = Client::connect(server.addr());
+    // One byte past the cap and no newline: the daemon reads all of it,
+    // so it closes the connection with nothing left unread.
+    let line = vec![b'x'; xbound_service::server::MAX_REQUEST_LINE + 1];
+    client.writer.write_all(&line).expect("send");
+    client.writer.flush().expect("flush");
+    let refused = client.recv();
+    assert!(
+        refused.contains("\"ok\": false") && refused.contains("longer than"),
+        "{refused}"
+    );
+    let mut rest = String::new();
+    let n = client
+        .reader
+        .read_line(&mut rest)
+        .expect("read after refusal");
+    assert_eq!(n, 0, "the connection closes after the refusal: {rest}");
+    let stats = Client::connect(server.addr()).roundtrip(&protocol::op_request("stats"));
+    assert!(stats.contains("\"ok\": true"), "{stats}");
+    Client::connect(server.addr()).roundtrip(&protocol::op_request("shutdown"));
     server.join();
 }

@@ -28,10 +28,7 @@ use std::marker::PhantomData;
 use xbound_logic::{BatchFrame, Frame, LaneVal, Lv, XWord, MAX_LANES};
 use xbound_netlist::{CellKind, GateId, NetId, Netlist};
 
-use crate::{
-    read_regions, read_regions_with, write_regions, write_regions_with, BusSpec, EvalMode,
-    MachineState, MemRead, MemRegion, MemWrite, SimError,
-};
+use crate::{read_regions, write_regions, BusSpec, EvalMode, MachineState, MemRegion, SimError};
 
 mod sealed {
     pub trait Sealed {}
@@ -166,10 +163,6 @@ pub struct Engine<'n, L: Lanes> {
     /// Net-level change log (see [`Engine::set_change_logging`]).
     change_log: Vec<u32>,
     log_changes: bool,
-    /// Memory access logs (see [`Engine::set_mem_access_logging`]).
-    mem_reads: Vec<MemRead>,
-    mem_writes: Vec<MemWrite>,
-    log_mem: bool,
     _mode: PhantomData<L>,
 }
 
@@ -207,9 +200,6 @@ impl<'n, L: Lanes> Engine<'n, L> {
             scalar_frame: Frame::new(nl.net_count()),
             change_log: Vec::new(),
             log_changes: false,
-            mem_reads: Vec::new(),
-            mem_writes: Vec::new(),
-            log_mem: false,
             _mode: PhantomData,
         }
     }
@@ -240,41 +230,6 @@ impl<'n, L: Lanes> Engine<'n, L> {
         if self.log_changes {
             self.change_log.push(i as u32);
         }
-    }
-
-    /// Enables (or disables) the memory-access log: every memory word a
-    /// lane *consults* while settling (bus reads; including the prior
-    /// value of joined writes, whose result depends on it) appends a
-    /// [`MemRead`], and every word stored at a commit appends a
-    /// [`MemWrite`]. Callers drain them with [`Engine::swap_mem_reads`] /
-    /// [`Engine::swap_mem_writes`].
-    ///
-    /// The symbolic explorer's subtree memo uses these to compute a
-    /// path's read footprint — the exact set of `(region, offset)` words
-    /// whose start-state values its outcome depends on. Reads whose
-    /// result is independent of memory content (out-of-range addresses,
-    /// or addresses with more than 4 X bits, which return all-X without
-    /// consulting memory) emit nothing. A word may be reported more than
-    /// once (bus settle iterations re-read); memories never change
-    /// within a settle, so duplicates carry equal values.
-    pub fn set_mem_access_logging(&mut self, enabled: bool) {
-        self.log_mem = enabled;
-        self.mem_reads.clear();
-        self.mem_writes.clear();
-    }
-
-    /// Swaps the accumulated [`MemRead`] log with `buf` (cleared of its
-    /// previous contents by the caller, reused as the next log).
-    pub fn swap_mem_reads(&mut self, buf: &mut Vec<MemRead>) {
-        std::mem::swap(&mut self.mem_reads, buf);
-        self.mem_reads.clear();
-    }
-
-    /// Swaps the accumulated [`MemWrite`] log with `buf` (cleared of its
-    /// previous contents by the caller, reused as the next log).
-    pub fn swap_mem_writes(&mut self, buf: &mut Vec<MemWrite>) {
-        std::mem::swap(&mut self.mem_writes, buf);
-        self.mem_writes.clear();
     }
 
     /// Number of lanes.
@@ -613,25 +568,9 @@ impl<'n, L: Lanes> Engine<'n, L> {
     /// One rdata forcing pass: per-lane memory lookups merged into one
     /// batched write per rdata net (respecting forces).
     fn write_rdata(&mut self, bus: &BusSpec, addrs: &[XWord], levelized: bool) {
-        let rdatas: Vec<XWord> = if self.log_mem {
-            let (mems, log) = (&self.mems, &mut self.mem_reads);
-            (0..self.lanes)
-                .map(|l| {
-                    read_regions_with(&mems[l], addrs[l], &mut |region, offset, value| {
-                        log.push(MemRead {
-                            lane: l as u8,
-                            region,
-                            offset,
-                            value,
-                        })
-                    })
-                })
-                .collect()
-        } else {
-            (0..self.lanes)
-                .map(|l| read_regions(&self.mems[l], addrs[l]))
-                .collect()
-        };
+        let rdatas: Vec<XWord> = (0..self.lanes)
+            .map(|l| read_regions(&self.mems[l], addrs[l]))
+            .collect();
         for (i, &n) in bus.rdata.iter().enumerate() {
             let mut lv = LaneVal::ZERO;
             for (l, r) in rdatas.iter().enumerate() {
@@ -819,33 +758,7 @@ impl<'n, L: Lanes> Engine<'n, L> {
                 }
                 let addr = self.value_word_lane(&bus.addr, l);
                 let wdata = self.value_word_lane(&bus.wdata, l);
-                if self.log_mem {
-                    let (mems, reads, writes) =
-                        (&mut self.mems, &mut self.mem_reads, &mut self.mem_writes);
-                    write_regions_with(
-                        &mut mems[l],
-                        wen,
-                        addr,
-                        wdata,
-                        &mut |region, offset, value| {
-                            reads.push(MemRead {
-                                lane: l as u8,
-                                region,
-                                offset,
-                                value,
-                            })
-                        },
-                        &mut |region, offset| {
-                            writes.push(MemWrite {
-                                lane: l as u8,
-                                region,
-                                offset,
-                            })
-                        },
-                    );
-                } else {
-                    write_regions(&mut self.mems[l], wen, addr, wdata);
-                }
+                write_regions(&mut self.mems[l], wen, addr, wdata);
             }
         }
         self.bus = Some(bus);

@@ -293,8 +293,7 @@ impl std::error::Error for SimError {}
 
 /// Snapshot of all architectural simulator state (flip-flops + memories).
 ///
-/// Used by the symbolic explorer for DFS over the execution tree; its
-/// flip-flop vector also keys the explorer's subtree memo.
+/// Used by the symbolic explorer for DFS over the execution tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineState {
     ffs: Vec<Lv>,
@@ -303,14 +302,6 @@ pub struct MachineState {
 }
 
 impl MachineState {
-    /// Assembles a snapshot from parts — the inverse of
-    /// [`MachineState::ffs`] / [`MachineState::mems`] / *cycle*, used by
-    /// the symbolic explorer's subtree memo to reconstruct a recorded
-    /// post-fork state from a start state plus a word-level delta.
-    pub fn from_parts(ffs: Vec<Lv>, mems: Vec<Vec<XWord>>, cycle: u64) -> MachineState {
-        MachineState { ffs, mems, cycle }
-    }
-
     /// Simulation cycle at which the snapshot was taken.
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -365,116 +356,37 @@ impl MachineState {
     }
 }
 
-/// One memory word a lane consulted while settling a cycle: the value of
-/// `regions[region][offset]` at read time. Emitted by the engine when
-/// [`Engine::set_mem_access_logging`] is on; the symbolic explorer's
-/// subtree memo collects these into a path's *read footprint* (the exact
-/// set of memory words its outcome depends on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemRead {
-    /// Lane that performed the read.
-    pub lane: u8,
-    /// Region index within the engine's (per-lane) region set.
-    pub region: u16,
-    /// Word offset within the region.
-    pub offset: u32,
-    /// The word value observed.
-    pub value: XWord,
-}
-
-/// One memory word a lane stored to at a commit. Reads of a word the
-/// same path already wrote are *self-satisfied* and excluded from its
-/// footprint, so footprint consumers track these alongside [`MemRead`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemWrite {
-    /// Lane that performed the write.
-    pub lane: u8,
-    /// Region index within the engine's (per-lane) region set.
-    pub region: u16,
-    /// Word offset within the region.
-    pub offset: u32,
-}
-
 /// Reads `addr` from a region set, joining candidates when the address
 /// carries a bounded number of X bits (all-X past the bound, or when no
 /// region matches). Shared by the scalar and batched simulators.
-///
-/// `sink` observes `(region index, word offset, value)` for every word
-/// actually consulted — reads whose result is independent of memory
-/// content (out-of-range, or an address too unknown to enumerate) emit
-/// nothing. The non-logging [`read_regions`] wrapper passes a no-op sink
-/// that monomorphizes away.
-pub(crate) fn read_regions_with<F: FnMut(u16, u32, XWord)>(
-    mems: &[MemRegion],
-    addr: XWord,
-    sink: &mut F,
-) -> XWord {
+pub(crate) fn read_regions(mems: &[MemRegion], addr: XWord) -> XWord {
     match addr.to_u16() {
-        Some(a) => {
-            for (ri, m) in mems.iter().enumerate() {
-                if m.contains(a) {
-                    let v = m.read(a);
-                    sink(ri as u16, ((a - m.base()) / 2) as u32, v);
-                    return v;
-                }
-            }
-            XWord::ALL_X
-        }
-        None if addr.x_count() <= 4 => {
-            let mut acc: Option<XWord> = None;
-            for cand in enumerate_addresses(addr) {
-                let v = read_regions_with(mems, XWord::from_u16(cand), sink);
-                acc = Some(match acc {
-                    None => v,
-                    Some(prev) => prev.join(v),
-                });
-            }
-            acc.unwrap_or(XWord::ALL_X)
-        }
+        Some(a) => mems
+            .iter()
+            .find(|m| m.contains(a))
+            .map_or(XWord::ALL_X, |m| m.read(a)),
+        None if addr.x_count() <= 4 => enumerate_addresses(addr)
+            .into_iter()
+            .map(|cand| read_regions(mems, XWord::from_u16(cand)))
+            .reduce(XWord::join)
+            .unwrap_or(XWord::ALL_X),
         None => XWord::ALL_X,
     }
-}
-
-pub(crate) fn read_regions(mems: &[MemRegion], addr: XWord) -> XWord {
-    read_regions_with(mems, addr, &mut |_, _, _| {})
 }
 
 /// Applies one bus write to a region set: definite for `wen == 1`, joined
 /// ("maybe written") for `wen == X`, candidate-enumerated or smeared for
 /// X addresses. Shared by the scalar and batched simulators.
-///
-/// `read_sink` / `write_sink` observe the words involved, for footprint
-/// consumers. A *joined* write stores `old.join(wdata)` — its result
-/// depends on the word's prior content, so the old value is reported as
-/// a read before the write; a definite overwrite reports only the write.
-pub(crate) fn write_regions_with<R, W>(
-    mems: &mut [MemRegion],
-    wen: Lv,
-    addr: XWord,
-    wdata: XWord,
-    read_sink: &mut R,
-    write_sink: &mut W,
-) where
-    R: FnMut(u16, u32, XWord),
-    W: FnMut(u16, u32),
-{
+pub(crate) fn write_regions(mems: &mut [MemRegion], wen: Lv, addr: XWord, wdata: XWord) {
     if wen == Lv::Zero {
         return;
     }
     let maybe = wen == Lv::X;
     match addr.to_u16() {
         Some(a) => {
-            for (ri, m) in mems.iter_mut().enumerate() {
+            for m in mems.iter_mut() {
                 if m.contains(a) && m.kind() == RegionKind::Ram {
-                    let off = ((a - m.base()) / 2) as u32;
-                    let new = if maybe {
-                        let old = m.read(a);
-                        read_sink(ri as u16, off, old);
-                        old.join(wdata)
-                    } else {
-                        wdata
-                    };
-                    write_sink(ri as u16, off);
+                    let new = if maybe { m.read(a).join(wdata) } else { wdata };
                     m.write(a, new);
                 }
             }
@@ -482,12 +394,9 @@ pub(crate) fn write_regions_with<R, W>(
         None if addr.x_count() <= 4 => {
             // A bounded set of candidate addresses: each may be written.
             for cand in enumerate_addresses(addr) {
-                for (ri, m) in mems.iter_mut().enumerate() {
+                for m in mems.iter_mut() {
                     if m.contains(cand) && m.kind() == RegionKind::Ram {
-                        let off = ((cand - m.base()) / 2) as u32;
                         let old = m.read(cand);
-                        read_sink(ri as u16, off, old);
-                        write_sink(ri as u16, off);
                         m.write(cand, old.join(wdata));
                     }
                 }
@@ -495,21 +404,15 @@ pub(crate) fn write_regions_with<R, W>(
         }
         None => {
             // Unknown address: conservatively smear all RAM regions.
-            for (ri, m) in mems.iter_mut().enumerate() {
+            for m in mems.iter_mut() {
                 if m.kind() == RegionKind::Ram {
-                    for (off, w) in m.data_mut().iter_mut().enumerate() {
-                        read_sink(ri as u16, off as u32, *w);
-                        write_sink(ri as u16, off as u32);
+                    for w in m.data_mut() {
                         *w = w.join(wdata);
                     }
                 }
             }
         }
     }
-}
-
-pub(crate) fn write_regions(mems: &mut [MemRegion], wen: Lv, addr: XWord, wdata: XWord) {
-    write_regions_with(mems, wen, addr, wdata, &mut |_, _, _| {}, &mut |_, _| {});
 }
 
 /// Enumerates all concrete addresses matching a partially-X address.
