@@ -360,6 +360,8 @@ struct PathRunner<'c> {
     prev: Option<BatchFrame>,
     cur_lane: Vec<Frame>,
     change_buf: Vec<u32>,
+    /// Flip-flop next-state buffer, reused every pass.
+    next: Vec<LaneVal>,
     stats: BatchExploreStats,
 }
 
@@ -377,6 +379,7 @@ impl<'c> PathRunner<'c> {
             prev: None,
             cur_lane: Vec::new(),
             change_buf: Vec::new(),
+            next: Vec::new(),
             stats: BatchExploreStats {
                 lanes: lanes as u64,
                 ..BatchExploreStats::default()
@@ -410,7 +413,6 @@ impl<'c> PathRunner<'c> {
                 }
             }
         }
-        self.change_buf.clear();
     }
 
     /// Simulates every task to completion in lock-step lanes and returns
@@ -509,7 +511,8 @@ impl<'c> PathRunner<'c> {
             self.stats.active_lane_cycles += active as u64;
             self.stats.idle_lane_cycles += (lanes - active) as u64;
             self.refresh_lane_frames();
-            let next = self.sim.ff_next_lanes();
+            let mut next = std::mem::take(&mut self.next);
+            self.sim.ff_next_into(&mut next);
 
             // Pre-commit lane processing. Only lanes that take this pass's
             // clock edge land in `commit_mask`; everything else is frozen
@@ -584,6 +587,7 @@ impl<'c> PathRunner<'c> {
             }
 
             self.sim.commit_with_next_masked(&next, commit_mask);
+            self.next = next;
 
             for action in post {
                 match action {

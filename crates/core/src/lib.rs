@@ -362,12 +362,10 @@ impl UlpSystem {
         let mut recording = u64::MAX >> (64 - lanes);
         for cycle in 1..=max_cycles {
             sim.eval()?;
+            // The drained log is ascending and duplicate-free: it serves
+            // the per-cycle consumer and the power accumulator (whose f64
+            // order requires ascending nets) as is.
             sim.swap_change_log(&mut changes);
-            // The sorted, deduplicated log serves the per-cycle consumer
-            // and the power accumulator (whose f64 order requires
-            // ascending nets).
-            changes.sort_unstable();
-            changes.dedup();
             let bf = sim.frame();
             on_cycle(prev.as_ref(), bf, &changes, recording);
             acc.push_changed(bf, &changes);
@@ -379,7 +377,6 @@ impl UlpSystem {
                     }
                 }
             }
-            changes.clear();
             let mut m = recording;
             while m != 0 {
                 let lane = m.trailing_zeros() as usize;

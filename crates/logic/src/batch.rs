@@ -219,15 +219,15 @@ impl LaneVal {
 ///
 /// Where [`Frame`] packs one 2-bit value per net across machine words, a
 /// `BatchFrame` stores one [`LaneVal`] (a `u64` plane pair) per net: bit
-/// `l` of each plane belongs to lane `l`. Bits at and above
-/// [`BatchFrame::lanes`] are kept zero so frames with equal active lanes
-/// compare equal structurally.
+/// `l` of each plane belongs to lane `l`. A net's two planes sit side by
+/// side, so reading or writing a net touches one 16-byte slot. Bits at
+/// and above [`BatchFrame::lanes`] are kept zero so frames with equal
+/// active lanes compare equal structurally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchFrame {
-    len: usize,
     lanes: usize,
-    val: Vec<u64>,
-    unk: Vec<u64>,
+    mask: u64,
+    nets: Vec<LaneVal>,
 }
 
 impl BatchFrame {
@@ -242,23 +242,22 @@ impl BatchFrame {
             "lane count {lanes} outside 1..={MAX_LANES}"
         );
         BatchFrame {
-            len,
             lanes,
-            val: vec![0; len],
-            unk: vec![0; len],
+            mask: u64::MAX >> (MAX_LANES - lanes),
+            nets: vec![LaneVal::ZERO; len],
         }
     }
 
     /// Number of nets.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.nets.len()
     }
 
     /// `true` when the frame holds no nets.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.nets.is_empty()
     }
 
     /// Number of active lanes.
@@ -270,11 +269,7 @@ impl BatchFrame {
     /// Bitmask with one set bit per active lane.
     #[inline]
     pub fn lane_mask(&self) -> u64 {
-        if self.lanes == MAX_LANES {
-            u64::MAX
-        } else {
-            (1u64 << self.lanes) - 1
-        }
+        self.mask
     }
 
     /// Reads all lanes of net `i`.
@@ -284,10 +279,7 @@ impl BatchFrame {
     /// Panics if `i >= len()`.
     #[inline]
     pub fn get(&self, i: usize) -> LaneVal {
-        LaneVal {
-            val: self.val[i],
-            unk: self.unk[i],
-        }
+        self.nets[i]
     }
 
     /// Writes all lanes of net `i` (bits above the lane count are masked).
@@ -297,9 +289,10 @@ impl BatchFrame {
     /// Panics if `i >= len()`.
     #[inline]
     pub fn set(&mut self, i: usize, v: LaneVal) {
-        let mask = self.lane_mask();
-        self.val[i] = v.val & !v.unk & mask;
-        self.unk[i] = v.unk & mask;
+        self.nets[i] = LaneVal {
+            val: v.val & !v.unk & self.mask,
+            unk: v.unk & self.mask,
+        };
     }
 
     /// Writes all lanes of net `i` and returns whether any lane changed.
@@ -307,13 +300,19 @@ impl BatchFrame {
     /// The batched event-driven simulator uses this to decide whether a
     /// gate's fanout must re-evaluate: a gate is dirty when *any* lane of
     /// one of its inputs changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
     #[inline]
     pub fn replace(&mut self, i: usize, v: LaneVal) -> bool {
-        let mask = self.lane_mask();
-        let (val, unk) = (v.val & !v.unk & mask, v.unk & mask);
-        let changed = self.val[i] != val || self.unk[i] != unk;
-        self.val[i] = val;
-        self.unk[i] = unk;
+        let v = LaneVal {
+            val: v.val & !v.unk & self.mask,
+            unk: v.unk & self.mask,
+        };
+        let slot = &mut self.nets[i];
+        let changed = *slot != v;
+        *slot = v;
         changed
     }
 
@@ -358,15 +357,16 @@ impl BatchFrame {
         // Word-packed transpose: gather bit `l` of every net's plane pair
         // into the scalar frame's 64-net words (no per-net branches; this
         // runs once per lane per stored cycle on the profiling hot path).
-        let words = self.len.div_ceil(64);
+        let len = self.len();
+        let words = len.div_ceil(64);
         let mut val = vec![0u64; words];
         let mut unk = vec![0u64; words];
-        for i in 0..self.len {
+        for (i, v) in self.nets.iter().enumerate() {
             let (w, b) = (i / 64, i % 64);
-            val[w] |= ((self.val[i] >> l) & 1) << b;
-            unk[w] |= ((self.unk[i] >> l) & 1) << b;
+            val[w] |= ((v.val >> l) & 1) << b;
+            unk[w] |= ((v.unk >> l) & 1) << b;
         }
-        Frame::from_bitplanes(self.len, val, unk)
+        Frame::from_bitplanes(len, val, unk)
     }
 
     /// Broadcasts a scalar [`Frame`] into every lane.
@@ -375,8 +375,8 @@ impl BatchFrame {
     ///
     /// Panics if the frame lengths differ.
     pub fn broadcast_from(&mut self, f: &Frame) {
-        assert_eq!(self.len, f.len(), "frame length mismatch");
-        for i in 0..self.len {
+        assert_eq!(self.len(), f.len(), "frame length mismatch");
+        for i in 0..self.len() {
             self.set_all_lanes(i, f.get(i));
         }
     }

@@ -220,11 +220,12 @@ impl fmt::Display for CellKind {
     }
 }
 
-/// One gate instance.
+/// One gate instance: a fixed-size record (the instance name lives in a
+/// side table, [`Netlist::gate_name`]), so a simulator walking gates in
+/// a hot loop reads 20 bytes per gate.
 #[derive(Debug, Clone)]
 pub struct Gate {
     kind: CellKind,
-    name: String,
     inputs: [NetId; 3],
     input_len: u8,
     output: NetId,
@@ -233,29 +234,48 @@ pub struct Gate {
 
 impl Gate {
     /// Cell kind.
+    #[inline]
     pub fn kind(&self) -> CellKind {
         self.kind
     }
 
-    /// Instance name (unique within the netlist).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Input nets, in pin order.
+    #[inline]
     pub fn inputs(&self) -> &[NetId] {
         &self.inputs[..self.input_len as usize]
     }
 
+    /// Input nets padded to three pins: pins past
+    /// [`CellKind::input_count`] read net 0. A kernel that matches on
+    /// the kind indexes this array with constant pins and no length
+    /// check.
+    #[inline]
+    pub fn input_array(&self) -> [NetId; 3] {
+        self.inputs
+    }
+
     /// Output net.
+    #[inline]
     pub fn output(&self) -> NetId {
         self.output
     }
 
     /// Hierarchy module this gate belongs to.
+    #[inline]
     pub fn module(&self) -> ModuleId {
         self.module
     }
+}
+
+/// A combinational reader of a net: the gate and its logic level
+/// ([`Netlist::comb_level`]), the two things an event-driven simulator
+/// needs to queue it when the net changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CombReader {
+    /// The reading gate.
+    pub gate: GateId,
+    /// Its logic level.
+    pub level: u32,
 }
 
 /// Errors produced while building or validating a netlist.
@@ -325,17 +345,22 @@ pub struct Netlist {
     name: String,
     net_names: Vec<String>,
     gates: Vec<Gate>,
+    /// Instance names, indexed by [`GateId`].
+    gate_names: Vec<String>,
     inputs: Vec<NetId>,
     input_names: Vec<String>,
     outputs: Vec<(String, NetId)>,
     modules: Vec<String>,
     driver: Vec<Option<GateId>>,
     name_set: HashMap<String, ()>,
-    // Populated by finalize():
+    // Populated by finalize(). Both fanout indexes are CSR: the readers
+    // of net `n` are `ids[start[n]..start[n + 1]]`.
     topo: Vec<GateId>,
     seq_gates: Vec<GateId>,
-    fanout: Vec<Vec<GateId>>,
-    fanout_comb: Vec<Vec<GateId>>,
+    fanout_start: Vec<u32>,
+    fanout: Vec<GateId>,
+    fanout_comb_start: Vec<u32>,
+    fanout_comb: Vec<CombReader>,
     comb_level: Vec<u32>,
     level_count: u32,
     finalized: bool,
@@ -348,6 +373,7 @@ impl Netlist {
             name: name.into(),
             net_names: Vec::new(),
             gates: Vec::new(),
+            gate_names: Vec::new(),
             inputs: Vec::new(),
             input_names: Vec::new(),
             outputs: Vec::new(),
@@ -356,7 +382,9 @@ impl Netlist {
             name_set: HashMap::new(),
             topo: Vec::new(),
             seq_gates: Vec::new(),
+            fanout_start: Vec::new(),
             fanout: Vec::new(),
+            fanout_comb_start: Vec::new(),
             fanout_comb: Vec::new(),
             comb_level: Vec::new(),
             level_count: 0,
@@ -457,9 +485,9 @@ impl Netlist {
         let mut ins = [NetId(0); 3];
         ins[..inputs.len()].copy_from_slice(inputs);
         let id = GateId(self.gates.len() as u32);
+        self.gate_names.push(name);
         self.gates.push(Gate {
             kind,
-            name,
             inputs: ins,
             input_len: inputs.len() as u8,
             output,
@@ -485,8 +513,14 @@ impl Netlist {
     }
 
     /// One gate.
+    #[inline]
     pub fn gate(&self, id: GateId) -> &Gate {
         &self.gates[id.index()]
+    }
+
+    /// Instance name of a gate (unique within the netlist).
+    pub fn gate_name(&self, id: GateId) -> &str {
+        &self.gate_names[id.index()]
     }
 
     /// Primary inputs.
@@ -537,12 +571,17 @@ impl Netlist {
         // Kahn levelization over combinational gates. Sequential outputs and
         // primary inputs are sources.
         let mut indeg = vec![0usize; self.gates.len()];
-        let mut fanout: Vec<Vec<GateId>> = vec![Vec::new(); self.net_names.len()];
-        for (gi, g) in self.gates.iter().enumerate() {
-            for &inp in g.inputs() {
-                fanout[inp.index()].push(GateId(gi as u32));
-            }
-        }
+        let (fanout_start, fanout) = csr(
+            self.net_names.len(),
+            self.gates.iter().enumerate().flat_map(|(gi, g)| {
+                g.inputs()
+                    .iter()
+                    .map(move |inp| (inp.index(), GateId(gi as u32)))
+            }),
+        );
+        let readers = |net: NetId| {
+            &fanout[fanout_start[net.index()] as usize..fanout_start[net.index() + 1] as usize]
+        };
         let mut ready: Vec<GateId> = Vec::new();
         for (gi, g) in self.gates.iter().enumerate() {
             if g.kind.is_sequential() {
@@ -568,7 +607,7 @@ impl Netlist {
             head += 1;
             topo.push(g);
             let out = self.gates[g.index()].output;
-            for &succ in &fanout[out.index()] {
+            for &succ in readers(out) {
                 let sg = &self.gates[succ.index()];
                 if sg.kind.is_sequential() {
                     continue;
@@ -602,21 +641,12 @@ impl Netlist {
             .filter(|(_, g)| g.kind.is_sequential())
             .map(|(i, _)| GateId(i as u32))
             .collect();
-        // Fanout/cone index for event-driven evaluation: per-net
-        // combinational readers, and per-gate logic levels (a combinational
-        // gate's level is 1 + the max level of its combinational drivers;
-        // flip-flops and primary inputs are level-0 sources). The levels
-        // give the incremental simulator a bucket queue that processes a
-        // dirty cone in dependency order.
-        self.fanout_comb = fanout
-            .iter()
-            .map(|gs| {
-                gs.iter()
-                    .copied()
-                    .filter(|&g| !self.gates[g.index()].kind.is_sequential())
-                    .collect()
-            })
-            .collect();
+        // Fanout/cone index for event-driven evaluation: per-gate logic
+        // levels (a combinational gate's level is 1 + the max level of its
+        // combinational drivers; flip-flops and primary inputs are level-0
+        // sources), and per-net combinational readers with their levels.
+        // The levels give the incremental simulator a bucket queue that
+        // processes a dirty cone in dependency order.
         self.comb_level = vec![0u32; self.gates.len()];
         let mut max_level = 0u32;
         for &g in &topo {
@@ -632,7 +662,23 @@ impl Netlist {
             max_level = max_level.max(lvl);
         }
         self.level_count = if topo.is_empty() { 0 } else { max_level + 1 };
+        let (gates, comb_level) = (&self.gates, &self.comb_level);
+        let (comb_start, comb) = csr(
+            self.net_names.len(),
+            (0..self.net_names.len()).flat_map(|n| {
+                readers(NetId(n as u32))
+                    .iter()
+                    .filter(|g| !gates[g.index()].kind.is_sequential())
+                    .map(move |&gate| {
+                        let level = comb_level[gate.index()];
+                        (n, CombReader { gate, level })
+                    })
+            }),
+        );
+        self.fanout_comb_start = comb_start;
+        self.fanout_comb = comb;
         self.topo = topo;
+        self.fanout_start = fanout_start;
         self.fanout = fanout;
         self.finalized = true;
         Ok(self)
@@ -670,10 +716,12 @@ impl Netlist {
     /// Panics if the netlist has not been finalized.
     pub fn fanout_of(&self, net: NetId) -> &[GateId] {
         assert!(self.finalized, "netlist not finalized");
-        &self.fanout[net.index()]
+        let i = net.index();
+        &self.fanout[self.fanout_start[i] as usize..self.fanout_start[i + 1] as usize]
     }
 
-    /// Combinational gates reading `net` (flip-flop readers excluded).
+    /// Combinational gates reading `net` (flip-flop readers excluded),
+    /// each with its logic level.
     ///
     /// This is the edge set the event-driven simulator follows when a net
     /// changes value: only combinational readers must re-evaluate within
@@ -682,9 +730,12 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if the netlist has not been finalized.
-    pub fn fanout_comb_of(&self, net: NetId) -> &[GateId] {
+    #[inline]
+    pub fn fanout_comb_of(&self, net: NetId) -> &[CombReader] {
         assert!(self.finalized, "netlist not finalized");
-        &self.fanout_comb[net.index()]
+        let i = net.index();
+        &self.fanout_comb
+            [self.fanout_comb_start[i] as usize..self.fanout_comb_start[i + 1] as usize]
     }
 
     /// Logic level of a gate: combinational gates are `1 +` the maximum
@@ -720,6 +771,31 @@ impl Netlist {
     }
 }
 
+/// Builds a CSR index over `rows` rows from `(row, item)` pairs: the
+/// items of row `r` are `items[start[r]..start[r + 1]]`, in pair order.
+fn csr<T: Copy>(
+    rows: usize,
+    pairs: impl Iterator<Item = (usize, T)> + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    let mut start = vec![0u32; rows + 1];
+    for (r, _) in pairs.clone() {
+        start[r + 1] += 1;
+    }
+    for r in 0..rows {
+        start[r + 1] += start[r];
+    }
+    let mut next = start.clone();
+    let mut items = Vec::new();
+    for (r, item) in pairs {
+        if items.is_empty() {
+            items = vec![item; start[rows] as usize];
+        }
+        items[next[r] as usize] = item;
+        next[r] += 1;
+    }
+    (start, items)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,6 +819,19 @@ mod tests {
         assert_eq!(nl.topo_order().len(), 1);
         assert_eq!(nl.sequential_gates().len(), 1);
         assert_eq!(nl.net_name(NetId(2)), "n1");
+    }
+
+    #[test]
+    fn gate_names_live_beside_compact_records() {
+        let nl = tiny().finalize().unwrap();
+        assert_eq!(nl.gate_name(GateId(0)), "u1");
+        assert_eq!(nl.gate_name(GateId(1)), "ff");
+        assert!(
+            std::mem::size_of::<Gate>() <= 20,
+            "gate records stay compact"
+        );
+        let g = nl.gate(GateId(0));
+        assert_eq!(&g.input_array()[..2], g.inputs());
     }
 
     #[test]
@@ -872,8 +961,20 @@ mod tests {
         assert_eq!(nl.comb_level(g_inv), 0);
         assert_eq!(nl.comb_level(g_and), 1);
         assert_eq!(nl.comb_level_count(), 2);
-        assert_eq!(nl.fanout_comb_of(a), &[g_inv]);
-        assert_eq!(nl.fanout_comb_of(n1), &[g_and]);
+        assert_eq!(
+            nl.fanout_comb_of(a),
+            &[CombReader {
+                gate: g_inv,
+                level: 0
+            }]
+        );
+        assert_eq!(
+            nl.fanout_comb_of(n1),
+            &[CombReader {
+                gate: g_and,
+                level: 1
+            }]
+        );
         // Levels strictly increase along combinational edges.
         for &g in nl.topo_order() {
             for &inp in nl.gate(g).inputs() {

@@ -148,7 +148,7 @@ pub fn write(nl: &Netlist) -> String {
             out.push_str(&format!("  wire {};\n", emit_ident(nl.net_name(id))));
         }
     }
-    for g in nl.gates() {
+    for (gi, g) in nl.gates().iter().enumerate() {
         let module = nl.module_name(g.module());
         if module != "top" {
             out.push_str(&format!("  (* module = \"{module}\" *)\n"));
@@ -168,7 +168,7 @@ pub fn write(nl: &Netlist) -> String {
         out.push_str(&format!(
             "  {} {} ({});\n",
             g.kind().name(),
-            emit_ident(g.name()),
+            emit_ident(nl.gate_name(crate::GateId(gi as u32))),
             pins.join(", ")
         ));
     }

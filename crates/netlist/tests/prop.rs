@@ -2,7 +2,7 @@
 //! trip structurally intact.
 
 use proptest::prelude::*;
-use xbound_netlist::{verilog, CellKind, Netlist};
+use xbound_netlist::{verilog, CellKind, GateId, Netlist};
 
 /// Strategy: a random DAG netlist over `n` gates.
 fn arb_netlist(max_gates: usize) -> impl Strategy<Value = Netlist> {
@@ -62,11 +62,11 @@ proptest! {
         prop_assert_eq!(back.inputs().len(), nl.inputs().len());
         prop_assert_eq!(back.sequential_gates().len(), nl.sequential_gates().len());
         // Per-gate kinds survive (matched by instance name).
-        for g in nl.gates() {
-            let other = back
-                .gates()
-                .iter()
-                .find(|og| og.name() == g.name())
+        for (gi, g) in nl.gates().iter().enumerate() {
+            let name = nl.gate_name(GateId(gi as u32));
+            let other = (0..back.gate_count())
+                .find(|&oi| back.gate_name(GateId(oi as u32)) == name)
+                .map(|oi| back.gate(GateId(oi as u32)))
                 .expect("instance preserved");
             prop_assert_eq!(other.kind(), g.kind());
             prop_assert_eq!(other.inputs().len(), g.inputs().len());

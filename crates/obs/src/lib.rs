@@ -16,7 +16,9 @@
 //! * [`log`] — the `XBOUND_LOG` leveled key=value stderr logger behind
 //!   the workspace's progress and warning output;
 //! * [`cli`] — the command-line parser of every front-end binary (usage
-//!   on `--help`, exit 2 on bad input).
+//!   on `--help`, exit 2 on bad input);
+//! * [`hash`] — FNV-1a, the one content hasher (cache addresses,
+//!   validation salts).
 //!
 //! It is also the new home of the canonical JSON layer ([`jsonout`] /
 //! [`jsonin`]), moved down from `xbound_core` so every crate — including
@@ -32,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod hash;
 pub mod jsonin;
 pub mod jsonout;
 pub mod log;

@@ -424,12 +424,15 @@ impl<'a> PowerAnalyzer<'a> {
     /// analysis; push one settled [`BatchFrame`] per cycle and
     /// [`BatchPowerAccumulator::finish`] into per-lane traces.
     pub fn batch_accumulator(&self, lanes: usize) -> BatchPowerAccumulator<'_> {
+        let stride = 1 + self.nl.modules().len();
         BatchPowerAccumulator {
             analyzer: self,
             lanes,
+            stride,
             prev: None,
-            per_cycle_fj: vec![Vec::new(); lanes],
-            per_module_fj: vec![vec![Vec::new(); self.nl.modules().len()]; lanes],
+            row: vec![0.0; lanes * stride],
+            lane_rows: vec![Vec::new(); lanes],
+            cycles: 0,
         }
     }
 
@@ -471,6 +474,11 @@ impl<'a> PowerAnalyzer<'a> {
 /// f64 operations of the scalar [`PowerAnalyzer::analyze`], so the
 /// finished traces are bit-identical to per-lane scalar analysis.
 ///
+/// A cycle accumulates into one dense row: per lane, the cycle's total
+/// and then one slot per module. The row is appended to each lane's
+/// trace once, when the cycle closes, so a toggled lane costs two adds
+/// into a small hot buffer.
+///
 /// Internally the accumulation is pure femtojoules ([`EnergyTrace`]
 /// layout); the clock enters only in [`BatchPowerAccumulator::finish`]'s
 /// conversion, which is what makes one accumulation reusable across every
@@ -479,37 +487,40 @@ impl<'a> PowerAnalyzer<'a> {
 pub struct BatchPowerAccumulator<'a> {
     analyzer: &'a PowerAnalyzer<'a>,
     lanes: usize,
+    /// Slots per lane in a row: the total, then one per module.
+    stride: usize,
     prev: Option<BatchFrame>,
-    /// `[lane][cycle]`, femtojoules.
-    per_cycle_fj: Vec<Vec<f64>>,
-    /// `[lane][module][cycle]`, femtojoules.
-    per_module_fj: Vec<Vec<Vec<f64>>>,
+    /// The open cycle, `[lane][1 + module]`, femtojoules.
+    row: Vec<f64>,
+    /// Closed cycles per lane, `[lane][cycle][1 + module]`, femtojoules.
+    lane_rows: Vec<Vec<f64>>,
+    cycles: usize,
 }
 
 impl BatchPowerAccumulator<'_> {
     /// Number of cycles pushed so far.
     pub fn cycles(&self) -> usize {
-        self.per_cycle_fj.first().map(|v| v.len()).unwrap_or(0)
+        self.cycles
     }
 
-    /// Opens a cycle row: a zero femtojoule slot per lane and per module.
-    /// Returns the cycle index the transition kernel accumulates into.
-    fn begin_cycle(&mut self) -> usize {
-        let c = self.cycles();
-        for pc in &mut self.per_cycle_fj {
-            pc.push(0.0);
+    /// Closes the open cycle: appends each lane's slice of the row to its
+    /// trace and zeroes the row for the next cycle.
+    fn close_cycle(&mut self) {
+        for (rows, lane) in self
+            .lane_rows
+            .iter_mut()
+            .zip(self.row.chunks_exact(self.stride))
+        {
+            rows.extend_from_slice(lane);
         }
-        for pm in &mut self.per_module_fj {
-            for m in pm.iter_mut() {
-                m.push(0.0);
-            }
-        }
-        c
+        self.row.fill(0.0);
+        self.cycles += 1;
     }
 
     /// The transition kernel: classifies one net's per-lane transition
-    /// (rise / fall / X-endpoint) and accumulates the net's energy from
-    /// the analyzer's per-net table into every changed lane.
+    /// (rise / fall / X-endpoint) and adds the net's energy from the
+    /// analyzer's per-net table into every changed lane's total and
+    /// module slots of the open row.
     ///
     /// A changed lane lands in exactly one class mask, so each lane
     /// accumulates at most one energy per net, in ascending net order —
@@ -518,7 +529,7 @@ impl BatchPowerAccumulator<'_> {
     /// are charged the maximum transition energy (conservative; only
     /// reachable when callers analyze raw symbolic traces).
     #[inline]
-    fn accumulate_net(&mut self, c: usize, i: usize, p: LaneVal, q: LaneVal) {
+    fn accumulate_net(&mut self, i: usize, p: LaneVal, q: LaneVal) {
         let changed = p.changed_lanes(q);
         if changed == 0 {
             return;
@@ -528,7 +539,8 @@ impl BatchPowerAccumulator<'_> {
             return; // primary input toggles cost nothing themselves
         }
         let net = &a.nets[i];
-        let module = net.module;
+        let slot = 1 + net.module;
+        let stride = self.stride;
         let known = !p.unk & !q.unk;
         let rise = changed & known & !p.val & q.val;
         let fall = changed & known & p.val & !q.val;
@@ -542,8 +554,9 @@ impl BatchPowerAccumulator<'_> {
             let mut m = mask;
             while m != 0 {
                 let l = m.trailing_zeros() as usize;
-                self.per_cycle_fj[l][c] += e;
-                self.per_module_fj[l][module][c] += e;
+                let lane = &mut self.row[l * stride..(l + 1) * stride];
+                lane[0] += e;
+                lane[slot] += e;
                 m &= m - 1;
             }
         }
@@ -558,49 +571,45 @@ impl BatchPowerAccumulator<'_> {
     /// Panics if the frame's lane count disagrees with the accumulator.
     pub fn push(&mut self, frame: &BatchFrame) {
         assert_eq!(frame.lanes(), self.lanes, "frame lane count mismatch");
-        let c = self.begin_cycle();
-        if let Some(prev) = self.prev.take() {
+        if let Some(mut prev) = self.prev.take() {
             assert_eq!(prev.len(), frame.len(), "frame length mismatch");
             for i in 0..frame.len() {
-                self.accumulate_net(c, i, prev.get(i), frame.get(i));
+                self.accumulate_net(i, prev.get(i), frame.get(i));
             }
-            let mut prev = prev;
             prev.clone_from(frame);
             self.prev = Some(prev);
         } else {
             self.prev = Some(frame.clone());
         }
+        self.close_cycle();
     }
 
     /// [`BatchPowerAccumulator::push`] with a caller-provided list of
     /// candidate changed nets — **ascending, duplicate-free, and a
     /// superset of every net whose value differs from the previous
-    /// frame** (e.g. the engine's sorted change log). Only those nets are
-    /// visited, so a settled cycle costs O(changed) instead of O(design);
-    /// because the list is ascending, the f64 accumulation order is
-    /// exactly the full scan's and the traces stay bit-identical.
+    /// frame** (the engine's drained change log is all three). Only those
+    /// nets are visited, so a settled cycle costs O(changed) instead of
+    /// O(design); because the list is ascending, the f64 accumulation
+    /// order is exactly the full scan's and the traces stay bit-identical.
     ///
     /// # Panics
     ///
     /// Panics if the frame's lane count disagrees with the accumulator.
     pub fn push_changed(&mut self, frame: &BatchFrame, changed: &[u32]) {
         assert_eq!(frame.lanes(), self.lanes, "frame lane count mismatch");
-        let c = self.begin_cycle();
-        if let Some(prev) = self.prev.take() {
+        if let Some(mut prev) = self.prev.take() {
             assert_eq!(prev.len(), frame.len(), "frame length mismatch");
             for &i in changed {
                 let i = i as usize;
-                self.accumulate_net(c, i, prev.get(i), frame.get(i));
-            }
-            let mut prev = prev;
-            for &i in changed {
-                let i = i as usize;
-                prev.set(i, frame.get(i));
+                let q = frame.get(i);
+                self.accumulate_net(i, prev.get(i), q);
+                prev.set(i, q);
             }
             self.prev = Some(prev);
         } else {
             self.prev = Some(frame.clone());
         }
+        self.close_cycle();
     }
 
     /// Finishes into one [`PowerTrace`] per lane. `lane_cycles`
@@ -632,25 +641,23 @@ impl BatchPowerAccumulator<'_> {
     /// Panics if `lane_cycles` has the wrong arity or exceeds the number
     /// of pushed cycles.
     pub fn finish_energy(self, lane_cycles: Option<&[usize]>) -> Vec<EnergyTrace> {
-        let pushed = self.cycles();
+        let pushed = self.cycles;
         let full = vec![pushed; self.lanes];
         let lane_cycles = lane_cycles.unwrap_or(&full);
         assert_eq!(lane_cycles.len(), self.lanes, "one cycle count per lane");
         for &n in lane_cycles {
             assert!(n <= pushed, "lane cycle count exceeds pushed cycles");
         }
-        self.per_cycle_fj
+        let stride = self.stride;
+        self.lane_rows
             .into_iter()
-            .zip(self.per_module_fj)
             .zip(lane_cycles)
-            .map(|((mut pc, mut pm), &n)| {
-                pc.truncate(n);
-                for m in pm.iter_mut() {
-                    m.truncate(n);
-                }
+            .map(|(rows, &n)| {
+                let rows = &rows[..n * stride];
+                let column = |slot: usize| rows.chunks_exact(stride).map(|r| r[slot]).collect();
                 EnergyTrace {
-                    per_cycle_fj: pc,
-                    per_module_fj: pm,
+                    per_cycle_fj: column(0),
+                    per_module_fj: (1..stride).map(column).collect(),
                 }
             })
             .collect()
@@ -814,61 +821,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn analyze_batch_is_bit_identical_to_scalar_per_lane() {
-        use xbound_logic::BatchFrame;
-        // Two different stimuli on the same design, packed into two lanes.
-        let mut r = Rtl::new("cnt");
-        r.set_module("datapath");
-        let en = r.input_bit("en");
-        let (h, q) = r.reg("c", 8);
-        let one = r.one();
-        let (nx, _) = r.inc(&q, one);
-        let gated: Vec<_> = q.iter().zip(&nx).map(|(&q, &n)| r.mux(en, q, n)).collect();
-        r.reg_next(h, &gated);
-        r.output("q", &q);
-        let nl = r.finish().unwrap();
-        let en_net = nl.find_net("en").unwrap();
-        let mut lane_frames: Vec<Vec<Frame>> = Vec::new();
-        for drive in [Lv::One, Lv::X] {
-            let mut sim = Simulator::new(&nl);
-            sim.drive_input(en_net, drive);
-            sim.reset(1);
-            let mut frames = Vec::new();
-            for _ in 0..40 {
-                frames.push(sim.eval().unwrap().clone());
-                sim.commit();
-            }
-            lane_frames.push(frames);
-        }
-        let mut batch = Vec::new();
-        for c in 0..40 {
-            let mut bf = BatchFrame::new(nl.net_count(), 2);
-            for (l, frames) in lane_frames.iter().enumerate() {
-                for i in 0..nl.net_count() {
-                    bf.set_lane(i, l, frames[c].get(i));
-                }
-            }
-            batch.push(bf);
-        }
-        let lib = CellLibrary::ulp65();
-        let a = PowerAnalyzer::new(&nl, &lib, 100.0e6);
-        // Full length, and with lane 1 truncated (early halt shape).
-        let cuts = [40usize, 23];
-        let traces = a.analyze_batch(&batch, Some(&cuts));
-        for (l, t) in traces.iter().enumerate() {
-            let scalar = a.analyze(&lane_frames[l][..cuts[l]]);
-            assert_eq!(t, &scalar, "lane {l} trace differs from scalar");
-        }
-        let full = a.analyze_batch(&batch, None);
-        assert_eq!(full[0], a.analyze(&lane_frames[0]));
-    }
-
-    #[test]
-    fn energy_walk_is_bit_identical_to_one_lane_accumulator() {
-        use xbound_logic::BatchFrame;
-        // Two modules, toggling primary inputs (undriven: free), and a
-        // net count that is not a multiple of 64.
+    /// Two modules, primary inputs that toggle (undriven: free), and a
+    /// net count that is not a multiple of 64.
+    fn two_module_design() -> Netlist {
         let mut r = Rtl::new("walk");
         r.set_module("ctl");
         let en = r.input_bit("en");
@@ -882,9 +837,13 @@ mod tests {
         let nl = r.finish().unwrap();
         assert_ne!(nl.net_count() % 64, 0);
         assert!(nl.modules().len() > 1);
-        // Every embedded cell rises at its maximum energy, so a skewed
-        // library, where half the kinds fall at it, tells an X endpoint
-        // apart from a rise.
+        nl
+    }
+
+    /// Every embedded cell rises at its maximum energy, so a skewed
+    /// library, where half the kinds fall at it, tells an X endpoint
+    /// apart from a rise.
+    fn skewed_library() -> CellLibrary {
         let skewed: Vec<(CellKind, xbound_cells::CellPower)> = CellKind::ALL
             .iter()
             .enumerate()
@@ -906,17 +865,129 @@ mod tests {
                 )
             })
             .collect();
-        let libs = [
-            CellLibrary::ulp65(),
-            CellLibrary::from_cells("skewed", 1.0, &skewed).unwrap(),
-        ];
-        let mut rng = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
+        CellLibrary::from_cells("skewed", 1.0, &skewed).unwrap()
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut rng = seed;
+        move || {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
             rng
-        };
+        }
+    }
+
+    fn assert_same_bits(got: &PowerTrace, want: &PowerTrace, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(got.per_cycle_mw()),
+            bits(want.per_cycle_mw()),
+            "{what}: totals"
+        );
+        assert_eq!(got.per_module_mw().len(), want.per_module_mw().len());
+        for (m, (g, w)) in got
+            .per_module_mw()
+            .iter()
+            .zip(want.per_module_mw())
+            .enumerate()
+        {
+            assert_eq!(bits(g), bits(w), "{what}: module {m}");
+        }
+        assert_eq!(got, want, "{what}");
+    }
+
+    #[test]
+    fn analyze_batch_is_bit_identical_to_scalar_per_lane() {
+        use xbound_logic::BatchFrame;
+        // Every lane runs its own 3-valued stimulus over a design with
+        // gates in two modules: lane `l` holds each net with probability
+        // 1/2 and draws it X with probability 0, 1/8 or 1/3, so X
+        // endpoints land in every row and module slot. Each lane's trace,
+        // cut to its own length, equals the scalar analysis of its frames
+        // bit for bit, through both the full scan and the change list.
+        let nl = two_module_design();
+        let libs = [CellLibrary::ulp65(), skewed_library()];
+        let cycles = 24;
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        for lanes in [2usize, 5, 64] {
+            let lane_frames: Vec<Vec<Frame>> = (0..lanes)
+                .map(|l| {
+                    let x_in = [0, 8, 3][l % 3];
+                    let mut cur = Frame::new(nl.net_count());
+                    (0..cycles)
+                        .map(|_| {
+                            for i in 0..nl.net_count() {
+                                if next() % 2 == 0 {
+                                    continue;
+                                }
+                                let v = match next() {
+                                    r if x_in > 0 && r % x_in == 0 => Lv::X,
+                                    r if (r >> 8) % 2 == 0 => Lv::Zero,
+                                    _ => Lv::One,
+                                };
+                                cur.set(i, v);
+                            }
+                            cur.clone()
+                        })
+                        .collect()
+                })
+                .collect();
+            let batch: Vec<BatchFrame> = (0..cycles)
+                .map(|c| {
+                    let mut bf = BatchFrame::new(nl.net_count(), lanes);
+                    for (l, frames) in lane_frames.iter().enumerate() {
+                        for i in 0..nl.net_count() {
+                            bf.set_lane(i, l, frames[c].get(i));
+                        }
+                    }
+                    bf
+                })
+                .collect();
+            // Full length, an empty trace, and per-lane early halts.
+            let cuts: Vec<usize> = (0..lanes)
+                .map(|l| match l {
+                    0 => cycles,
+                    1 => 0,
+                    _ => next() as usize % (cycles + 1),
+                })
+                .collect();
+            for lib in &libs {
+                let a = PowerAnalyzer::new(&nl, lib, 100.0e6);
+                let scanned = a.analyze_batch(&batch, Some(&cuts));
+                let mut acc = a.batch_accumulator(lanes);
+                let mut prev: Option<&BatchFrame> = None;
+                for bf in &batch {
+                    let changed: Vec<u32> = (0..nl.net_count())
+                        .filter(|&i| prev.is_none_or(|p| p.get(i) != bf.get(i)))
+                        .map(|i| i as u32)
+                        .collect();
+                    acc.push_changed(bf, &changed);
+                    prev = Some(bf);
+                }
+                let listed = acc.finish(Some(&cuts));
+                for l in 0..lanes {
+                    let scalar = a.analyze(&lane_frames[l][..cuts[l]]);
+                    let what = format!("{} lanes, lane {l}, {}", lanes, lib.name());
+                    assert_same_bits(&scanned[l], &scalar, &what);
+                    assert_same_bits(&listed[l], &scalar, &what);
+                }
+                let full = a.analyze_batch(&batch, None);
+                assert_same_bits(
+                    &full[lanes - 1],
+                    &a.analyze(&lane_frames[lanes - 1]),
+                    "uncut",
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn energy_walk_is_bit_identical_to_one_lane_accumulator() {
+        use xbound_logic::BatchFrame;
+        let nl = two_module_design();
+        let libs = [CellLibrary::ulp65(), skewed_library()];
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for round in 0..40 {
             let a = PowerAnalyzer::new(&nl, &libs[round % 2], 100.0e6);

@@ -21,6 +21,7 @@ use std::sync::Mutex;
 use xbound_core::jsonout::JsonWriter;
 use xbound_core::{BoundsReport, ExploreConfig, UlpSystem};
 use xbound_msp430::Program;
+use xbound_obs::hash::Fnv1a;
 
 /// The exact analysis input a cached bound is valid for.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,24 +91,18 @@ impl KeyMaterial {
 
     /// FNV-1a over the canonical byte serialization of the material.
     pub fn hash(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(&(self.image.len() as u64).to_le_bytes());
-        eat(&self.image);
-        eat(self.library.as_bytes());
-        eat(&[0]);
-        eat(&self.clock_hz.to_bits().to_le_bytes());
-        eat(&self.max_segment_cycles.to_le_bytes());
-        eat(&self.max_total_cycles.to_le_bytes());
-        eat(&u64::from(self.widen_threshold).to_le_bytes());
-        eat(&u64::from(self.reset_cycles).to_le_bytes());
-        eat(&self.energy_rounds.to_le_bytes());
-        h
+        let mut h = Fnv1a::new();
+        h.write(&(self.image.len() as u64).to_le_bytes());
+        h.write(&self.image);
+        h.write(self.library.as_bytes());
+        h.write(&[0]);
+        h.write(&self.clock_hz.to_bits().to_le_bytes());
+        h.write(&self.max_segment_cycles.to_le_bytes());
+        h.write(&self.max_total_cycles.to_le_bytes());
+        h.write(&u64::from(self.widen_threshold).to_le_bytes());
+        h.write(&u64::from(self.reset_cycles).to_le_bytes());
+        h.write(&self.energy_rounds.to_le_bytes());
+        h.finish()
     }
 
     /// The 16-hex-digit content address (used as key string and cache
@@ -460,6 +455,14 @@ mod tests {
         c.image[0] = 2;
         assert_ne!(a.hash(), c.hash());
         assert_eq!(a.hex().len(), 16);
+    }
+
+    /// The content address of fixed key material is pinned: cache files
+    /// written by earlier builds stay addressable.
+    #[test]
+    fn key_address_is_stable() {
+        assert_eq!(material(7).hex(), "102dd03cae34c58f");
+        assert_eq!(material(0).hex(), "feee7f317ff24cf4");
     }
 
     #[test]

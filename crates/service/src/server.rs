@@ -656,14 +656,24 @@ fn handle_conn(service: &Arc<Service>, stream: TcpStream) {
             let _ = writer.flush();
             break;
         }
-        let Ok(line) = std::str::from_utf8(&line) else {
-            break;
-        };
-        if line.trim().is_empty() {
+        let line = std::str::from_utf8(&line);
+        if line.is_ok_and(|l| l.trim().is_empty()) {
             continue;
         }
         service.requests.fetch_add(1, Ordering::Relaxed);
         service_metrics().requests.inc();
+        let Ok(line) = line else {
+            // Answer like any other unparsable request and keep serving
+            // the connection.
+            let e = protocol::error_response("request line is not valid UTF-8");
+            if writeln!(writer, "{e}")
+                .and_then(|()| writer.flush())
+                .is_err()
+            {
+                break;
+            }
+            continue;
+        };
         match service.dispatch(line.trim_end_matches(['\r', '\n']), &mut writer) {
             Ok(stop) => {
                 if writer.flush().is_err() || stop {

@@ -341,3 +341,25 @@ fn over_long_request_line_is_refused_and_the_daemon_serves_on() {
     Client::connect(server.addr()).roundtrip(&protocol::op_request("shutdown"));
     server.join();
 }
+
+/// A request line that is not UTF-8 gets one error response, and the
+/// same connection goes on serving the next line.
+#[test]
+fn non_utf8_request_line_gets_an_error_and_the_connection_serves_on() {
+    let server = memory_only_server();
+    let mut client = Client::connect(server.addr());
+    client
+        .writer
+        .write_all(b"\xff\xfe{\"op\":\"stats\"}\n")
+        .expect("send");
+    client.writer.flush().expect("flush");
+    let refused = client.recv();
+    assert!(
+        refused.contains("\"ok\": false") && refused.contains("UTF-8"),
+        "{refused}"
+    );
+    let stats = client.roundtrip(r#"{"op":"stats"}"#);
+    assert!(stats.contains("\"ok\": true"), "{stats}");
+    client.roundtrip(&protocol::op_request("shutdown"));
+    server.join();
+}

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
 use xbound_logic::{BatchFrame, Frame, LaneVal, Lv, XWord, MAX_LANES};
-use xbound_netlist::{CellKind, GateId, NetId, Netlist};
+use xbound_netlist::{CellKind, Gate, GateId, NetId, Netlist};
 
 use crate::{read_regions, write_regions, BusSpec, EvalMode, MachineState, MemRegion, SimError};
 
@@ -72,9 +72,6 @@ pub(crate) struct LaneForce {
 impl LaneForce {
     #[inline]
     pub(crate) fn apply(self, natural: LaneVal) -> LaneVal {
-        if self.mask == 0 {
-            return natural;
-        }
         LaneVal::from_planes(
             (natural.val & !self.mask) | (self.val.val & self.mask),
             (natural.unk & !self.mask) | (self.val.unk & self.mask),
@@ -136,6 +133,9 @@ pub struct Engine<'n, L: Lanes> {
     lanes: usize,
     frame: BatchFrame,
     forces: Vec<LaneForce>,
+    /// One bit per net with a set force: an unforced net (nearly every
+    /// net, nearly always) skips the 24-byte force load.
+    forced: Vec<u64>,
     drives: HashMap<NetId, LaneVal>,
     bus: Option<BusSpec>,
     /// Per-lane region sets: `mems[lane][region]`.
@@ -160,9 +160,12 @@ pub struct Engine<'n, L: Lanes> {
     /// Lane-0 view of the settled frame, refreshed by
     /// [`Engine::<Scalar>::eval`] (unused by the wide instantiation).
     scalar_frame: Frame,
-    /// Net-level change log (see [`Engine::set_change_logging`]).
-    change_log: Vec<u32>,
+    /// Net-level change log, one bit per net (see
+    /// [`Engine::set_change_logging`]).
+    changed: Vec<u64>,
     log_changes: bool,
+    /// Flip-flop next-state buffer reused by every [`Engine::commit`].
+    ff_next: Vec<LaneVal>,
     _mode: PhantomData<L>,
 }
 
@@ -184,6 +187,7 @@ impl<'n, L: Lanes> Engine<'n, L> {
             lanes,
             frame: BatchFrame::new(nl.net_count(), lanes),
             forces: vec![LaneForce::default(); nl.net_count()],
+            forced: vec![0; nl.net_count().div_ceil(64)],
             drives: HashMap::new(),
             bus: None,
             mems: vec![Vec::new(); lanes],
@@ -198,38 +202,76 @@ impl<'n, L: Lanes> Engine<'n, L> {
             full_dirty: true,
             gate_evals: 0,
             scalar_frame: Frame::new(nl.net_count()),
-            change_log: Vec::new(),
+            changed: vec![0; nl.net_count().div_ceil(64)],
             log_changes: false,
+            ff_next: Vec::new(),
             _mode: PhantomData,
         }
     }
 
     /// Enables (or disables) the net-level change log: every frame write
-    /// that actually changes a net's value appends the net index to an
-    /// internal log, which callers drain with [`Engine::swap_change_log`].
+    /// that actually changes a net's value sets the net's bit in a
+    /// per-net bitset, which callers drain with
+    /// [`Engine::swap_change_log`].
     ///
     /// Consumers that maintain per-lane views of the frame (the batched
     /// symbolic explorer, the batched concrete profiler) use this to pay
     /// O(changed nets) per cycle instead of re-scanning the whole frame.
-    /// A net may appear more than once per cycle (e.g. bus settle
-    /// iterations); reading its final frame value is idempotent.
+    /// A net written several times (e.g. over bus settle iterations) is
+    /// logged once, and a net that changed and changed back is still
+    /// logged: the log is a superset of the nets that differ.
     pub fn set_change_logging(&mut self, enabled: bool) {
         self.log_changes = enabled;
-        self.change_log.clear();
+        self.changed.fill(0);
     }
 
-    /// Swaps the accumulated change log with `buf` (which is cleared of
-    /// its previous contents by the caller, reused as the next log).
+    /// Drains the change log into `buf` (replacing its contents): every
+    /// net written with a new value since the previous drain, in
+    /// strictly ascending order. Ascending is the order the power
+    /// accumulators need for bit-identical f64 sums, so callers pass the
+    /// log on as is.
     pub fn swap_change_log(&mut self, buf: &mut Vec<u32>) {
-        std::mem::swap(&mut self.change_log, buf);
-        self.change_log.clear();
+        buf.clear();
+        for (w, word) in self.changed.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                buf.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
     }
 
     #[inline]
     fn log_change(&mut self, i: usize) {
         if self.log_changes {
-            self.change_log.push(i as u32);
+            self.changed[i / 64] |= 1 << (i % 64);
         }
+    }
+
+    /// The net's force, or `None` when no lane of it is forced.
+    #[inline]
+    fn force_of(&self, i: usize) -> Option<LaneForce> {
+        ((self.forced[i / 64] >> (i % 64)) & 1 == 1).then(|| self.forces[i])
+    }
+
+    /// `v` with the net's force applied.
+    #[inline]
+    fn apply_force(&self, i: usize, v: LaneVal) -> LaneVal {
+        match self.force_of(i) {
+            Some(f) => f.apply(v),
+            None => v,
+        }
+    }
+
+    /// Stores a force and keeps the forced-net bitset in step.
+    fn store_force(&mut self, i: usize, f: LaneForce) {
+        let bit = 1u64 << (i % 64);
+        if f.is_set() {
+            self.forced[i / 64] |= bit;
+        } else {
+            self.forced[i / 64] &= !bit;
+        }
+        self.forces[i] = f;
     }
 
     /// Number of lanes.
@@ -357,13 +399,14 @@ impl<'n, L: Lanes> Engine<'n, L> {
     /// released.
     pub fn force(&mut self, net: NetId, v: Option<Lv>) {
         let mask = self.frame.lane_mask();
-        self.forces[net.index()] = match v {
+        let f = match v {
             Some(f) => LaneForce {
                 mask,
                 val: LaneVal::splat(f, mask),
             },
             None => LaneForce::default(),
         };
+        self.store_force(net.index(), f);
         self.force_mark_dirty(net);
     }
 
@@ -380,7 +423,7 @@ impl<'n, L: Lanes> Engine<'n, L> {
     pub fn force_lane(&mut self, net: NetId, lane: usize, v: Option<Lv>) {
         assert!(lane < self.lanes, "lane {lane} out of range {}", self.lanes);
         let bit = 1u64 << lane;
-        let f = &mut self.forces[net.index()];
+        let mut f = self.forces[net.index()];
         match v {
             Some(value) => {
                 f.mask |= bit;
@@ -391,6 +434,7 @@ impl<'n, L: Lanes> Engine<'n, L> {
                 f.val.set(lane, Lv::Zero);
             }
         }
+        self.store_force(net.index(), f);
         self.force_mark_dirty(net);
     }
 
@@ -428,11 +472,14 @@ impl<'n, L: Lanes> Engine<'n, L> {
         self.mems[lane].iter_mut().find(|m| m.name() == name)
     }
 
-    /// Evaluates one combinational cell over all lanes at once.
-    fn eval_cell(&self, kind: CellKind, ins: &[NetId]) -> LaneVal {
+    /// Evaluates one combinational cell over all lanes at once, reading
+    /// its fixed-arity input pins.
+    #[inline]
+    fn eval_cell(&self, gate: &Gate) -> LaneVal {
+        let ins = gate.input_array();
         let v = |i: usize| self.frame.get(ins[i].index());
         let mask = self.frame.lane_mask();
-        match kind {
+        match gate.kind() {
             CellKind::Tie0 => LaneVal::ZERO,
             CellKind::Tie1 => LaneVal::splat(Lv::One, mask),
             CellKind::Buf => v(0),
@@ -461,6 +508,20 @@ impl<'n, L: Lanes> Engine<'n, L> {
         }
     }
 
+    /// Marks the combinational readers of net `i` dirty, reading each
+    /// reader's level from the netlist's CSR fanout.
+    #[inline]
+    fn mark_readers_dirty(&mut self, i: usize) {
+        let nl = self.nl;
+        for r in nl.fanout_comb_of(NetId(i as u32)) {
+            let g = r.gate.index();
+            if !self.dirty[g] {
+                self.dirty[g] = true;
+                self.buckets[r.level as usize].push(r.gate);
+            }
+        }
+    }
+
     /// Keeps the lane-0 scalar frame view coherent with a write to the
     /// batched frame. Compiled out of the wide instantiation; the 1-lane
     /// instantiation pays O(1) per changed net instead of a full
@@ -485,13 +546,11 @@ impl<'n, L: Lanes> Engine<'n, L> {
     /// Writes `net` and, when any lane changed, marks its combinational
     /// readers dirty.
     fn set_net(&mut self, net: NetId, v: LaneVal) {
-        if self.frame.replace(net.index(), v) {
-            self.mirror_scalar(net.index(), v);
-            self.log_change(net.index());
-            let nl = self.nl;
-            for &g in nl.fanout_comb_of(net) {
-                self.mark_gate_dirty(g);
-            }
+        let i = net.index();
+        if self.frame.replace(i, v) {
+            self.mirror_scalar(i, v);
+            self.log_change(i);
+            self.mark_readers_dirty(i);
         }
     }
 
@@ -500,22 +559,16 @@ impl<'n, L: Lanes> Engine<'n, L> {
     /// higher level, so one ascending sweep settles the whole changed cone
     /// — for every lane at once.
     fn process_dirty(&mut self) {
-        let nl = self.nl;
+        let gates = self.nl.gates();
         for lvl in 0..self.buckets.len() {
             let mut bucket = std::mem::take(&mut self.buckets[lvl]);
             self.gate_evals += bucket.len() as u64;
             for &g in &bucket {
-                let gate = nl.gate(g);
-                let out = gate.output();
-                let v = self.forces[out.index()].apply(self.eval_cell(gate.kind(), gate.inputs()));
+                let gate = &gates[g.index()];
+                let out = gate.output().index();
+                let v = self.apply_force(out, self.eval_cell(gate));
                 self.dirty[g.index()] = false;
-                if self.frame.replace(out.index(), v) {
-                    self.mirror_scalar(out.index(), v);
-                    self.log_change(out.index());
-                    for &succ in nl.fanout_comb_of(out) {
-                        self.mark_gate_dirty(succ);
-                    }
-                }
+                self.set_net(NetId(out as u32), v);
             }
             bucket.clear();
             // Put the buffer back to keep its capacity for the next sweep.
@@ -531,7 +584,7 @@ impl<'n, L: Lanes> Engine<'n, L> {
         if Some(n) == self.rstn_net {
             v = LaneVal::splat(rstn_v, mask);
         }
-        self.forces[n.index()].apply(v)
+        self.apply_force(n.index(), v)
     }
 
     fn rstn_value(&self) -> Lv {
@@ -558,25 +611,32 @@ impl<'n, L: Lanes> Engine<'n, L> {
         }
     }
 
-    /// Per-lane bus addresses of the current frame.
-    fn lane_addrs(&self, bus: &BusSpec) -> Vec<XWord> {
-        (0..self.lanes)
-            .map(|l| self.value_word_lane(&bus.addr, l))
-            .collect()
+    /// The bus address of every lane: one lane word per address bit.
+    fn addr_words(&self, bus: &BusSpec) -> [LaneVal; 16] {
+        std::array::from_fn(|i| self.frame.get(bus.addr[i].index()))
     }
 
     /// One rdata forcing pass: per-lane memory lookups merged into one
-    /// batched write per rdata net (respecting forces).
-    fn write_rdata(&mut self, bus: &BusSpec, addrs: &[XWord], levelized: bool) {
-        let rdatas: Vec<XWord> = (0..self.lanes)
-            .map(|l| read_regions(&self.mems[l], addrs[l]))
-            .collect();
-        for (i, &n) in bus.rdata.iter().enumerate() {
-            let mut lv = LaneVal::ZERO;
-            for (l, r) in rdatas.iter().enumerate() {
-                lv.set(l, r.bit(i));
+    /// batched write per rdata net (respecting forces). Addresses and
+    /// read data cross between lane words and per-lane [`XWord`]s by bit
+    /// transposes.
+    fn write_rdata(&mut self, bus: &BusSpec, addr: &[LaneVal; 16], levelized: bool) {
+        let mut rdata = [LaneVal::ZERO; 16];
+        for l in 0..self.lanes {
+            let (mut val, mut unk) = (0u16, 0u16);
+            for (i, a) in addr.iter().enumerate() {
+                val |= (((a.val >> l) & 1) as u16) << i;
+                unk |= (((a.unk >> l) & 1) as u16) << i;
             }
-            let v = self.forces[n.index()].apply(lv);
+            let r = read_regions(&self.mems[l], XWord::from_planes(val, unk));
+            let (val, unk) = (r.val_plane(), r.unk_plane());
+            for (i, d) in rdata.iter_mut().enumerate() {
+                d.val |= u64::from((val >> i) & 1) << l;
+                d.unk |= u64::from((unk >> i) & 1) << l;
+            }
+        }
+        for (&n, lv) in bus.rdata.iter().zip(rdata) {
+            let v = self.apply_force(n.index(), lv);
             if levelized {
                 self.store_net_levelized(n.index(), v);
             } else {
@@ -589,18 +649,18 @@ impl<'n, L: Lanes> Engine<'n, L> {
         // The levelized oracle stores read data directly (no dirty
         // propagation — the next pass re-evaluates everything anyway).
         let direct = self.mode != EvalMode::EventDriven;
-        let mut last_addrs = self.lane_addrs(bus);
+        let mut last_addr = self.addr_words(bus);
         for _ in 0..4 {
-            self.write_rdata(bus, &last_addrs, direct);
+            self.write_rdata(bus, &last_addr, direct);
             match self.mode {
                 EvalMode::EventDriven => self.process_dirty(),
                 EvalMode::Levelized => self.eval_comb_once(),
             }
-            let addrs_now = self.lane_addrs(bus);
-            if addrs_now == last_addrs {
+            let addr_now = self.addr_words(bus);
+            if addr_now == last_addr {
                 return Ok(());
             }
-            last_addrs = addrs_now;
+            last_addr = addr_now;
         }
         Err(SimError::BusNotSettled)
     }
@@ -616,8 +676,7 @@ impl<'n, L: Lanes> Engine<'n, L> {
         self.apply_inputs_event();
         for &g in self.nl.sequential_gates() {
             let out = self.nl.gate(g).output();
-            let f = self.forces[out.index()];
-            if f.is_set() {
+            if let Some(f) = self.force_of(out.index()) {
                 let v = f.apply(self.frame.get(out.index()));
                 self.set_net(out, v);
             }
@@ -645,9 +704,9 @@ impl<'n, L: Lanes> Engine<'n, L> {
         self.gate_evals += self.nl.topo_order().len() as u64;
         for &g in self.nl.topo_order() {
             let gate = self.nl.gate(g);
-            let out = gate.output();
-            let v = self.forces[out.index()].apply(self.eval_cell(gate.kind(), gate.inputs()));
-            self.store_net_levelized(out.index(), v);
+            let out = gate.output().index();
+            let v = self.apply_force(out, self.eval_cell(gate));
+            self.store_net_levelized(out, v);
         }
     }
 
@@ -657,8 +716,7 @@ impl<'n, L: Lanes> Engine<'n, L> {
         // honors them, keeping the forced value across edges).
         for &g in self.nl.sequential_gates() {
             let out = self.nl.gate(g).output();
-            let f = self.forces[out.index()];
-            if f.is_set() {
+            if let Some(f) = self.force_of(out.index()) {
                 let v = f.apply(self.frame.get(out.index()));
                 self.store_net_levelized(out.index(), v);
             }
@@ -713,34 +771,43 @@ impl<'n, L: Lanes> Engine<'n, L> {
     ///
     /// Panics unless the current cycle settled successfully.
     pub fn ff_next_lanes(&self) -> Vec<LaneVal> {
+        let mut next = Vec::new();
+        self.ff_next_into(&mut next);
+        next
+    }
+
+    /// [`Engine::ff_next_lanes`] into a caller-owned buffer (replacing its
+    /// contents), so a per-cycle caller reuses one allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the current cycle settled successfully.
+    pub fn ff_next_into(&self, next: &mut Vec<LaneVal>) {
         assert!(self.evaled, "eval() before inspecting flip-flop inputs");
-        self.nl
-            .sequential_gates()
-            .iter()
-            .map(|&g| {
-                let gate = self.nl.gate(g);
-                let ins = gate.inputs();
-                let q = self.frame.get(gate.output().index());
-                let v = |i: usize| self.frame.get(ins[i].index());
-                match gate.kind() {
-                    CellKind::Dff => v(0),
-                    CellKind::Dffe => {
-                        let d = v(0);
-                        LaneVal::select(v(1), q, d, d.join(q))
-                    }
-                    CellKind::Dffr => {
-                        let d = v(0);
-                        LaneVal::select(v(1), LaneVal::ZERO, d, d.join(LaneVal::ZERO))
-                    }
-                    CellKind::Dffre => {
-                        let d = v(0);
-                        let after_en = LaneVal::select(v(1), q, d, d.join(q));
-                        LaneVal::select(v(2), LaneVal::ZERO, after_en, after_en.join(LaneVal::ZERO))
-                    }
-                    _ => unreachable!("combinational gate in sequential list"),
+        next.clear();
+        next.extend(self.nl.sequential_gates().iter().map(|&g| {
+            let gate = self.nl.gate(g);
+            let ins = gate.input_array();
+            let q = self.frame.get(gate.output().index());
+            let v = |i: usize| self.frame.get(ins[i].index());
+            match gate.kind() {
+                CellKind::Dff => v(0),
+                CellKind::Dffe => {
+                    let d = v(0);
+                    LaneVal::select(v(1), q, d, d.join(q))
                 }
-            })
-            .collect()
+                CellKind::Dffr => {
+                    let d = v(0);
+                    LaneVal::select(v(1), LaneVal::ZERO, d, d.join(LaneVal::ZERO))
+                }
+                CellKind::Dffre => {
+                    let d = v(0);
+                    let after_en = LaneVal::select(v(1), q, d, d.join(q));
+                    LaneVal::select(v(2), LaneVal::ZERO, after_en, after_en.join(LaneVal::ZERO))
+                }
+                _ => unreachable!("combinational gate in sequential list"),
+            }
+        }));
     }
 
     fn commit_memory_writes(&mut self, active: u64) {
@@ -791,7 +858,7 @@ impl<'n, L: Lanes> Engine<'n, L> {
         let event = self.mode == EvalMode::EventDriven;
         for (&g, &v) in self.nl.sequential_gates().iter().zip(next) {
             let out = self.nl.gate(g).output();
-            let v = self.forces[out.index()].apply(v);
+            let v = self.apply_force(out.index(), v);
             let q = self.frame.get(out.index());
             let v = LaneVal::from_planes(
                 (q.val & !active) | (v.val & active),
@@ -836,8 +903,10 @@ impl<'n, L: Lanes> Engine<'n, L> {
     ///
     /// Panics if called before a successful eval.
     pub fn commit(&mut self) {
-        let next = self.ff_next_lanes();
+        let mut next = std::mem::take(&mut self.ff_next);
+        self.ff_next_into(&mut next);
         self.commit_with_next_lanes(&next);
+        self.ff_next = next;
     }
 
     /// `eval()` + `commit()` in one call.

@@ -9,7 +9,7 @@
 //! lane axis).
 
 use proptest::prelude::*;
-use xbound_logic::{Lv, XWord};
+use xbound_logic::{BatchFrame, Lv, XWord};
 use xbound_netlist::rtl::Rtl;
 use xbound_netlist::{CellKind, NetId, Netlist};
 use xbound_sim::{
@@ -91,8 +91,109 @@ fn assert_lanes_match(
     Ok(())
 }
 
+/// Drains the change log and checks its contract against the frame at
+/// the previous drain: strictly ascending, and holding every net whose
+/// value changed since then.
+fn check_change_log(
+    batch: &mut BatchSimulator<'_>,
+    at_last_drain: &mut BatchFrame,
+    log: &mut Vec<u32>,
+    step: usize,
+) -> Result<(), TestCaseError> {
+    batch.swap_change_log(log);
+    prop_assert!(
+        log.windows(2).all(|w| w[0] < w[1]),
+        "step {}: log not strictly ascending: {:?}",
+        step,
+        log
+    );
+    let now = batch.frame();
+    for i in 0..now.len() {
+        if now.get(i) != at_last_drain.get(i) {
+            prop_assert!(
+                log.binary_search(&(i as u32)).is_ok(),
+                "step {}: net {} changed but is not in the log {:?}",
+                step,
+                i,
+                log
+            );
+        }
+    }
+    at_last_drain.clone_from(now);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The change log under the explorer's op mix (per-lane and
+    /// broadcast forces, per-lane drives and restores, masked commits):
+    /// every drain, after a settle or after a commit, is strictly
+    /// ascending and covers every net whose lanes changed since the
+    /// previous drain.
+    #[test]
+    fn change_log_drains_ascending_and_covers_every_change(
+        n_gates in 4usize..60,
+        seed in any::<u64>(),
+        steps in 4usize..30,
+        width in 0usize..3,
+    ) {
+        let lanes = [1usize, 5, 64][width];
+        let nl = random_netlist(n_gates, seed);
+        let mut batch = BatchSimulator::new(&nl, lanes);
+        batch.set_change_logging(true);
+        let mut at_last_drain = batch.frame().clone();
+        let mut log = Vec::new();
+        let mut rng = seed ^ 0x2545_F491_4F6C_DD1D | 1;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut snapshots: Vec<MachineState> = Vec::new();
+        for step in 0..steps {
+            let l = (next() as usize) % lanes;
+            match next() % 8 {
+                0 => {
+                    let n = NetId((next() % nl.net_count() as u64) as u32);
+                    batch.force_lane(n, l, Some(lv_of(next())));
+                }
+                1 => {
+                    let n = NetId((next() % nl.net_count() as u64) as u32);
+                    batch.force(n, if next() % 2 == 0 { None } else { Some(lv_of(next())) });
+                }
+                2 => {
+                    let n = NetId((next() % nl.net_count() as u64) as u32);
+                    batch.force_lane(n, l, None);
+                }
+                3..=4 => {
+                    let inputs = nl.inputs();
+                    let n = inputs[(next() as usize) % inputs.len()];
+                    for lane in 0..lanes {
+                        batch.drive_input_lane(n, lane, lv_of(next()));
+                    }
+                }
+                5 => snapshots.push(batch.lane_machine_state(l)),
+                _ => {
+                    if !snapshots.is_empty() {
+                        let snap = &snapshots[(next() as usize) % snapshots.len()];
+                        batch.set_lane_machine_state(l, snap);
+                    }
+                }
+            }
+            batch.eval().expect("no bus: settles");
+            if next() % 3 != 0 {
+                check_change_log(&mut batch, &mut at_last_drain, &mut log, step)?;
+            }
+            let mask = next() & batch.frame().lane_mask();
+            let ff_next = batch.ff_next_values();
+            batch.commit_with_next_masked(&ff_next, mask);
+            if next() % 2 == 0 {
+                check_change_log(&mut batch, &mut at_last_drain, &mut log, step)?;
+            }
+        }
+    }
 
     /// Random designs under random per-lane stimulus, broadcast
     /// forces/releases, and snapshot/restore: every batch lane is
