@@ -4,10 +4,16 @@
 //! instruction** was in the machine (and in which pipeline phase) and the
 //! **per-module power breakdown**, identifying the culprit
 //! instruction/module pairs that software optimizations should target.
+//!
+//! The bound keeps per-cycle totals only, so each reported cycle's
+//! segment is assigned again with Algorithm 2's kernels and the one pair
+//! that set its bound is split by module
+//! ([`xbound_power::PowerAnalyzer::module_energy_fj`]).
 
-use crate::peak_power::PeakPowerResult;
+use crate::peak_power::{merge_adjusted_frames, AssignPlan, MaxTransitions, PeakPowerResult};
 use crate::tree::{ExecutionTree, SegmentId};
-use xbound_cpu::{Cpu, State};
+use crate::UlpSystem;
+use xbound_cpu::State;
 use xbound_logic::XWord;
 use xbound_msp430::isa::{decode, Instr};
 
@@ -31,13 +37,20 @@ pub struct CycleOfInterest {
 }
 
 /// Finds the `k` highest-power cycles of the bound trace (at most one per
-/// distinct global cycle) and annotates them.
+/// distinct global cycle) and annotates them. `peak` must be the bound of
+/// `tree` under `system`'s library and clock.
 pub fn cycles_of_interest(
-    cpu: &Cpu,
+    system: &UlpSystem,
     tree: &ExecutionTree,
     peak: &PeakPowerResult,
     k: usize,
 ) -> Vec<CycleOfInterest> {
+    let cpu = system.cpu();
+    let nl = cpu.netlist();
+    let analyzer = system.analyzer();
+    let adjusted = merge_adjusted_frames(tree);
+    let table = MaxTransitions::build(nl, system.library());
+    let plan = AssignPlan::new(nl, tree, &adjusted, true);
     let mut all: Vec<(f64, SegmentId, usize)> = Vec::new();
     for (si, seg) in tree.segments().iter().enumerate() {
         for ci in 0..seg.len() {
@@ -71,17 +84,36 @@ pub fn cycles_of_interest(
             .to_u16()
             .and_then(|w| decode(&[w, 0, 0], 0).ok())
             .map(|(i, _)| i);
-        // Module breakdown from the parity trace that produced this bound
-        // (the larger of the two assignments, matching the bound itself).
-        let off = usize::from(tree.boundary_prev(sid).is_some());
-        let et = &peak.even_traces[sid.index()];
-        let ot = &peak.odd_traces[sid.index()];
-        let trace = if et.per_cycle_mw().get(ci + off) >= ot.per_cycle_mw().get(ci + off) {
-            et
-        } else {
-            ot
-        };
-        let breakdown = trace.module_breakdown_at(ci + off);
+        // Module breakdown from the parity assignment that produced this
+        // bound (the larger of the two, even on a tie), recomputed for
+        // this cycle's one pair.
+        let (even, odd) = plan
+            .assign(&[sid.index()], &table)
+            .pop()
+            .expect("one segment");
+        let [even, odd] = [&even, &odd].map(|(boundary, frames)| {
+            // The root's cycle 0 has no predecessor: a frame paired with
+            // itself charges nothing, like a trace's floor-only cycle 0.
+            let prev = match ci {
+                0 => boundary.as_ref().unwrap_or(&frames[0]),
+                _ => &frames[ci - 1],
+            };
+            let fj = analyzer.analyze_energy_with_boundary(Some(prev), &frames[ci..=ci]);
+            (prev, &frames[ci], analyzer.cycle_mw(fj.per_cycle_fj()[1]))
+        });
+        let (prev, cur, mw) = if even.2 >= odd.2 { even } else { odd };
+        assert_eq!(
+            mw.to_bits(),
+            p.to_bits(),
+            "the pair must reproduce the bound"
+        );
+        let mut breakdown: Vec<(String, f64)> = nl
+            .modules()
+            .iter()
+            .zip(analyzer.module_energy_fj(prev, cur))
+            .map(|(name, fj)| (name.clone(), analyzer.dynamic_mw(fj)))
+            .collect();
+        breakdown.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("power is finite"));
         out.push(CycleOfInterest {
             segment: sid,
             cycle: ci,

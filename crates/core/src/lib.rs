@@ -557,7 +557,7 @@ impl Analysis<'_> {
 
     /// Top-`k` cycles of interest (culprit instructions + breakdowns).
     pub fn cycles_of_interest(&self, k: usize) -> Vec<CycleOfInterest> {
-        cycles_of_interest(self.system.cpu(), &self.tree, &self.peak, k)
+        cycles_of_interest(self.system, &self.tree, &self.peak, k)
     }
 
     /// The tree's potentially-toggled nets, packed one bit per net (see

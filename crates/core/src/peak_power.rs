@@ -21,7 +21,7 @@ use xbound_cells::CellLibrary;
 use xbound_logic::{lanes_to_bitsets, Frame, Lv};
 use xbound_netlist::{CellKind, NetId, Netlist};
 use xbound_obs::trace;
-use xbound_power::{EnergyTrace, PowerAnalyzer, PowerTrace};
+use xbound_power::{EnergyTrace, PowerAnalyzer};
 
 /// Cycle parity an assignment maximizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,18 +64,9 @@ pub struct PeakPowerResult {
     /// Per-segment interleaved peak-power bound traces, milliwatts
     /// (`bound[segment][cycle]`).
     pub bound_mw: Vec<Vec<f64>>,
-    /// Power traces of the even assignment, per segment.
-    pub even_traces: Vec<PowerTrace>,
-    /// Power traces of the odd assignment, per segment.
-    pub odd_traces: Vec<PowerTrace>,
 }
 
 impl PeakPowerResult {
-    /// The bound trace of one segment.
-    pub fn segment_bound_mw(&self, id: SegmentId) -> &[f64] {
-        &self.bound_mw[id.index()]
-    }
-
     /// Maximum bound at each global cycle across all tree paths (the
     /// envelope used for plotting Fig 11-style traces).
     pub fn envelope_mw(&self, tree: &ExecutionTree) -> Vec<f64> {
@@ -645,49 +636,42 @@ pub fn analyze_tree_energy(
 /// Converts energy traces at `analyzer`'s clock and composes the
 /// peak-power bound — the per-corner stage of Algorithm 2.
 ///
-/// The conversion replays the exact float operations of the analyzer's
-/// own finish step ([`EnergyTrace::to_power_trace`]), so the bound is
+/// Each cycle's power is [`PowerAnalyzer::cycle_mw`] of its energy, the
+/// conversion of [`EnergyTrace::to_power_trace`], so the bound is
 /// bit-identical to composing traces analyzed directly at that clock.
 pub fn compose_peak_power(
     tree: &ExecutionTree,
     analyzer: &PowerAnalyzer,
     energy: &TreeEnergyTraces,
 ) -> PeakPowerResult {
-    let convert =
-        |traces: &[EnergyTrace]| traces.iter().map(|e| e.to_power_trace(analyzer)).collect();
-    compose_bound(tree, convert(&energy.even), convert(&energy.odd))
-}
-
-/// Interleaves per-segment even/odd traces into the peak-power bound.
-fn compose_bound(
-    tree: &ExecutionTree,
-    even_traces: Vec<PowerTrace>,
-    odd_traces: Vec<PowerTrace>,
-) -> PeakPowerResult {
     let mut bound = Vec::with_capacity(tree.segments().len());
     let mut peak = 0.0f64;
     let mut peak_at = (SegmentId(0), 0usize);
     let mut peak_cycle = 0u64;
     for (si, seg) in tree.segments().iter().enumerate() {
+        let (even, odd) = (
+            energy.even[si].per_cycle_fj(),
+            energy.odd[si].per_cycle_fj(),
+        );
         // Per-trace cycle offset: traces with a boundary frame have one
         // extra leading cycle (the trace is longer than the segment by
         // exactly that boundary cycle).
-        let off = even_traces[si].cycles() - seg.len();
+        let off = even.len() - seg.len();
         let mut seg_bound = Vec::with_capacity(seg.len());
         for ci in 0..seg.len() {
-            let gc = seg.global_cycle(ci);
             // The bound for a cycle is the larger of the even- and
             // odd-maximizing assignments. The paper interleaves by parity;
             // taking the max additionally keeps the per-cycle bound valid
             // for paths that reach this segment through a memoization merge
             // with the opposite parity (loop bodies of odd length).
-            let p = even_traces[si].per_cycle_mw()[ci + off]
-                .max(odd_traces[si].per_cycle_mw()[ci + off]);
+            let p = analyzer
+                .cycle_mw(even[ci + off])
+                .max(analyzer.cycle_mw(odd[ci + off]));
             seg_bound.push(p);
             if p > peak {
                 peak = p;
                 peak_at = (SegmentId(si as u32), ci);
-                peak_cycle = gc;
+                peak_cycle = seg.global_cycle(ci);
             }
         }
         bound.push(seg_bound);
@@ -697,8 +681,6 @@ fn compose_bound(
         peak_at,
         peak_cycle,
         bound_mw: bound,
-        even_traces,
-        odd_traces,
     }
 }
 

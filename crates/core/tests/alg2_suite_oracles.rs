@@ -9,7 +9,7 @@
 //! * the net-indexed energy walk
 //!   ([`PowerAnalyzer::analyze_energy_with_boundary`]) against the 1-lane
 //!   [`xbound_power::BatchPowerAccumulator`], f64 bit for bit on every
-//!   cycle and module, on both parity assignments of all 14 trees.
+//!   cycle, on both parity assignments of all 14 trees.
 
 use xbound_core::peak_power::{
     assign_tree, merge_adjusted_frames, stability_words_into, BlockStability, MaxTransitions,
@@ -136,14 +136,6 @@ fn energy_walk_equals_the_one_lane_accumulator_on_every_suite_tree() {
                     bits(reference.per_cycle_fj()),
                     "{at}"
                 );
-                assert_eq!(
-                    walk.per_module_fj().len(),
-                    reference.per_module_fj().len(),
-                    "{at}"
-                );
-                for (w, r) in walk.per_module_fj().iter().zip(reference.per_module_fj()) {
-                    assert_eq!(bits(w), bits(r), "{at}: module row");
-                }
             }
         }
     }

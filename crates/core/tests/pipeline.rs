@@ -248,6 +248,52 @@ fn coi_identifies_instruction_and_modules() {
     assert!(report.contains("COI"));
 }
 
+/// The top five cycles of interest of every suite program: each
+/// breakdown names every module once, descending, and adds up to the
+/// cycle's bound above the floor.
+#[test]
+fn coi_breakdowns_split_every_suite_bound_exactly() {
+    let sys = system();
+    let floor = sys.analyzer().floor_mw();
+    let mut modules: Vec<&str> = sys
+        .cpu()
+        .netlist()
+        .modules()
+        .iter()
+        .map(String::as_str)
+        .collect();
+    modules.sort_unstable();
+    for bench in xbound_benchsuite::all() {
+        let name = bench.name();
+        let analysis = CoAnalysis::new(&sys)
+            .config(ExploreConfig {
+                widen_threshold: bench.widen_threshold(),
+                ..ExploreConfig::suite_default()
+            })
+            .energy_rounds(bench.energy_rounds())
+            .run(&bench.program().expect("assembles"))
+            .expect("analyzes");
+        let cois = analysis.cycles_of_interest(5);
+        assert_eq!(cois.len(), 5, "{name}");
+        for coi in &cois {
+            let at = format!("{name} cycle {}", coi.global_cycle);
+            let mut names: Vec<&str> = coi.breakdown.iter().map(|(m, _)| m.as_str()).collect();
+            names.sort_unstable();
+            assert_eq!(names, modules, "{at}");
+            assert!(
+                coi.breakdown.windows(2).all(|w| w[0].1 >= w[1].1),
+                "{at}: not descending"
+            );
+            let sum: f64 = coi.breakdown.iter().map(|(_, p)| p).sum();
+            let dynamic = coi.power_mw - floor;
+            assert!(
+                (sum - dynamic).abs() <= 1e-12 * dynamic,
+                "{at}: modules sum to {sum} mW, the bound is {dynamic} mW above the floor"
+            );
+        }
+    }
+}
+
 #[test]
 fn unresolved_computed_jump_reported() {
     let sys = system();

@@ -5,7 +5,7 @@
 //!
 //! * the per-cycle power trace (dynamic switching energy × clock frequency
 //!   plus leakage),
-//! * per-module breakdowns (the paper's Fig 14 stacked bars),
+//! * one cycle pair's per-module split (the paper's Fig 14 stacked bars),
 //! * total energy and normalized peak energy (J/cycle).
 //!
 //! The same computation PrimeTime performs in averaged/activity mode: each
@@ -54,14 +54,12 @@ pub mod vcd;
 
 use xbound_cells::CellLibrary;
 use xbound_logic::{BatchFrame, Frame, LaneVal, Transition};
-use xbound_netlist::{CellKind, Netlist};
+use xbound_netlist::{CellKind, NetId, Netlist};
 
 /// A per-cycle power trace produced by [`PowerAnalyzer::analyze`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     per_cycle_mw: Vec<f64>,
-    per_module_mw: Vec<Vec<f64>>,
-    module_names: Vec<String>,
     clock_hz: f64,
     leakage_mw: f64,
 }
@@ -70,16 +68,6 @@ impl PowerTrace {
     /// Per-cycle total power, milliwatts.
     pub fn per_cycle_mw(&self) -> &[f64] {
         &self.per_cycle_mw
-    }
-
-    /// Per-cycle per-module power, `[module][cycle]`, milliwatts.
-    pub fn per_module_mw(&self) -> &[Vec<f64>] {
-        &self.per_module_mw
-    }
-
-    /// Module names, aligned with [`PowerTrace::per_module_mw`].
-    pub fn module_names(&self) -> &[String] {
-        &self.module_names
     }
 
     /// Number of cycles in the trace.
@@ -133,53 +121,32 @@ impl PowerTrace {
     pub fn clock_hz(&self) -> f64 {
         self.clock_hz
     }
-
-    /// Per-module energy at one cycle, `(module name, mW)`, descending.
-    pub fn module_breakdown_at(&self, cycle: usize) -> Vec<(String, f64)> {
-        let mut v: Vec<(String, f64)> = self
-            .module_names
-            .iter()
-            .zip(&self.per_module_mw)
-            .map(|(n, t)| (n.clone(), t.get(cycle).copied().unwrap_or(0.0)))
-            .collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("power is finite"));
-        v
-    }
 }
 
 /// Multiplier applied to the summed flip-flop clock-pin energy to account
 /// for the clock distribution buffers of a placed-and-routed design.
 pub const CLOCK_TREE_FACTOR: f64 = 1.25;
 
-/// The clock-independent part of a power analysis: per-cycle and
-/// per-module **dynamic switching energy** in femtojoules.
+/// The clock-independent part of a power analysis: per-cycle **dynamic
+/// switching energy** in femtojoules.
 ///
-/// A [`PowerTrace`] is `floor + fj × (clock_hz × 1e-12)` per cycle — the
-/// transition accumulation itself never reads the clock. Capturing the
-/// femtojoule sums lets one gate-level analysis serve every clock of an
-/// operating-point sweep: [`EnergyTrace::to_power_trace`] applies exactly
-/// the float operations [`BatchPowerAccumulator::finish`] applies, so the
+/// A [`PowerTrace`] is [`PowerAnalyzer::cycle_mw`] of each cycle's
+/// energy — the transition accumulation itself never reads the clock.
+/// Capturing the femtojoule sums lets one gate-level analysis serve every
+/// clock of an operating-point sweep: [`EnergyTrace::to_power_trace`]
+/// is the conversion [`BatchPowerAccumulator::finish`] applies, so the
 /// converted trace is bit-identical to re-analyzing the same frames with
 /// an analyzer bound to that clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyTrace {
     /// Per-cycle switching energy, femtojoules (cycle 0 is always 0).
     per_cycle_fj: Vec<f64>,
-    /// Per-module per-cycle switching energy, `[module][cycle]`,
-    /// femtojoules.
-    per_module_fj: Vec<Vec<f64>>,
 }
 
 impl EnergyTrace {
     /// Per-cycle switching energy, femtojoules.
     pub fn per_cycle_fj(&self) -> &[f64] {
         &self.per_cycle_fj
-    }
-
-    /// Per-module per-cycle switching energy, `[module][cycle]`,
-    /// femtojoules.
-    pub fn per_module_fj(&self) -> &[Vec<f64>] {
-        &self.per_module_fj
     }
 
     /// Number of cycles in the trace.
@@ -189,44 +156,20 @@ impl EnergyTrace {
 
     /// Converts to the [`PowerTrace`] that `analyzer` would have produced
     /// by analyzing the same frames directly — bit-identical, because
-    /// both paths compute `(leakage + clock) + fj × (clock_hz × 1e-12)`
-    /// per cycle with the same operations in the same order.
+    /// both paths apply [`PowerAnalyzer::cycle_mw`] to each cycle.
     ///
     /// `analyzer` must be bound to the same netlist and library the
     /// energies were accumulated under; only its clock may differ.
     pub fn to_power_trace(&self, analyzer: &PowerAnalyzer) -> PowerTrace {
-        let fj_to_mw = analyzer.clock_hz * 1e-12;
-        let floor = analyzer.leakage_mw + analyzer.clock_mw;
         PowerTrace {
             per_cycle_mw: self
                 .per_cycle_fj
                 .iter()
-                .map(|&fj| floor + fj * fj_to_mw)
+                .map(|&fj| analyzer.cycle_mw(fj))
                 .collect(),
-            per_module_mw: self
-                .per_module_fj
-                .iter()
-                .map(|m| m.iter().map(|&fj| fj * fj_to_mw).collect())
-                .collect(),
-            module_names: analyzer.nl.modules().to_vec(),
             clock_hz: analyzer.clock_hz,
             leakage_mw: analyzer.leakage_mw,
         }
-    }
-}
-
-/// One net's transition energies, femtojoules, by [`Transition`] —
-/// `[fall, rise, max]` of its driving cell — and the driver's module.
-#[derive(Debug, Clone, Copy)]
-struct NetEnergy {
-    fj: [f64; 3],
-    module: usize,
-}
-
-impl NetEnergy {
-    #[inline]
-    fn of(&self, t: Transition) -> f64 {
-        self.fj[t as usize]
     }
 }
 
@@ -236,9 +179,10 @@ pub struct PowerAnalyzer<'a> {
     nl: &'a Netlist,
     lib: &'a CellLibrary,
     clock_hz: f64,
-    /// Per-net transition energies of the driving cell (zero for
-    /// primary inputs, which `driven` masks out).
-    nets: Vec<NetEnergy>,
+    /// Per-net transition energies of the driving cell, femtojoules,
+    /// indexed by [`Transition`]: `[fall, rise, max]` (zero for primary
+    /// inputs, which `driven` masks out).
+    nets: Vec<[f64; 3]>,
     /// One bit per net driven by a gate: primary-input toggles cost
     /// nothing themselves.
     driven: Vec<u64>,
@@ -256,21 +200,12 @@ impl<'a> PowerAnalyzer<'a> {
     pub fn new(nl: &'a Netlist, lib: &'a CellLibrary, clock_hz: f64) -> PowerAnalyzer<'a> {
         assert!(clock_hz > 0.0, "clock must be positive");
         assert!(nl.is_finalized(), "netlist must be finalized");
-        let mut nets = vec![
-            NetEnergy {
-                fj: [0.0; 3],
-                module: 0,
-            };
-            nl.net_count()
-        ];
+        let mut nets = vec![[0.0; 3]; nl.net_count()];
         let mut driven = vec![0u64; nl.net_count().div_ceil(64)];
         for g in nl.gates() {
             let p = lib.power(g.kind());
             let i = g.output().index();
-            nets[i] = NetEnergy {
-                fj: [p.energy_fall_fj, p.energy_rise_fj, p.max_energy_fj()],
-                module: g.module().index(),
-            };
+            nets[i] = [p.energy_fall_fj, p.energy_rise_fj, p.max_energy_fj()];
             driven[i / 64] |= 1 << (i % 64);
         }
         let leakage_nw: f64 = nl
@@ -322,13 +257,23 @@ impl<'a> PowerAnalyzer<'a> {
         self.leakage_mw + self.clock_mw
     }
 
+    /// The power of `fj` femtojoules switched per cycle, milliwatts.
+    pub fn dynamic_mw(&self, fj: f64) -> f64 {
+        fj * (self.clock_hz * 1e-12)
+    }
+
+    /// One cycle's power, milliwatts, from its switching energy: the one
+    /// conversion behind every [`PowerTrace`] and peak-power bound.
+    pub fn cycle_mw(&self, fj: f64) -> f64 {
+        self.floor_mw() + self.dynamic_mw(fj)
+    }
+
     /// Analyzes a frame sequence into a power trace.
     ///
     /// Cycle `c`'s dynamic power counts transitions between frames `c-1` and
-    /// `c` (cycle 0 has no transitions, only leakage). Per-module breakdowns
-    /// are always computed. This is the energy analysis
-    /// ([`PowerAnalyzer::analyze_energy_with_boundary`]) converted at this
-    /// analyzer's clock, the same two steps Algorithm 2 takes.
+    /// `c` (cycle 0 has no transitions, only leakage). This is the energy
+    /// analysis ([`PowerAnalyzer::analyze_energy_with_boundary`]) converted
+    /// at this analyzer's clock, the same two steps Algorithm 2 takes.
     pub fn analyze(&self, frames: &[Frame]) -> PowerTrace {
         self.analyze_energy_with_boundary(None, frames)
             .to_power_trace(self)
@@ -384,54 +329,49 @@ impl<'a> PowerAnalyzer<'a> {
     /// Each consecutive frame pair is walked word by word
     /// ([`Frame::for_each_transition`] over the driven nets), and each
     /// changed net adds its per-net energy — the maximum at an `X`
-    /// endpoint, else rise or fall — into the cycle's sum and its
-    /// module's row, in ascending net order: the f64 order of
-    /// [`BatchPowerAccumulator`], so the two analyses agree bit for bit.
+    /// endpoint, else rise or fall — into the cycle's sum, in ascending
+    /// net order: the f64 order of [`BatchPowerAccumulator`], so the two
+    /// analyses agree bit for bit.
     pub fn analyze_energy_with_boundary(
         &self,
         boundary: Option<&Frame>,
         frames: &[Frame],
     ) -> EnergyTrace {
-        let cycles = usize::from(boundary.is_some()) + frames.len();
-        let mut per_cycle_fj = Vec::with_capacity(cycles);
-        let mut per_module_fj = vec![Vec::with_capacity(cycles); self.nl.modules().len()];
-        let mut row = vec![0.0f64; per_module_fj.len()];
+        let mut per_cycle_fj = Vec::with_capacity(usize::from(boundary.is_some()) + frames.len());
         let mut prev: Option<&Frame> = None;
         for cur in boundary.into_iter().chain(frames) {
             let mut sum = 0.0f64;
-            row.fill(0.0);
             if let Some(prev) = prev {
-                prev.for_each_transition(cur, &self.driven, |i, t| {
-                    let net = &self.nets[i];
-                    let e = net.of(t);
-                    sum += e;
-                    row[net.module] += e;
-                });
+                prev.for_each_transition(cur, &self.driven, |i, t| sum += self.nets[i][t as usize]);
             }
             per_cycle_fj.push(sum);
-            for (m, &e) in per_module_fj.iter_mut().zip(&row) {
-                m.push(e);
-            }
             prev = Some(cur);
         }
-        EnergyTrace {
-            per_cycle_fj,
-            per_module_fj,
-        }
+        EnergyTrace { per_cycle_fj }
+    }
+
+    /// The energy the walk charges one cycle pair, split by the module of
+    /// each changed net's driver, femtojoules, indexed like
+    /// [`Netlist::modules`]; each module adds its nets in ascending order.
+    pub fn module_energy_fj(&self, prev: &Frame, cur: &Frame) -> Vec<f64> {
+        let mut row = vec![0.0f64; self.nl.modules().len()];
+        prev.for_each_transition(cur, &self.driven, |i, t| {
+            let gate = self.nl.driver_of(NetId(i as u32)).expect("a driven net");
+            row[self.nl.gate(gate).module().index()] += self.nets[i][t as usize];
+        });
+        row
     }
 
     /// Creates a streaming accumulator for batched per-lane power
     /// analysis; push one settled [`BatchFrame`] per cycle and
     /// [`BatchPowerAccumulator::finish`] into per-lane traces.
     pub fn batch_accumulator(&self, lanes: usize) -> BatchPowerAccumulator<'_> {
-        let stride = 1 + self.nl.modules().len();
         BatchPowerAccumulator {
             analyzer: self,
             lanes,
-            stride,
             prev: None,
-            row: vec![0.0; lanes * stride],
-            lane_rows: vec![Vec::new(); lanes],
+            row: vec![0.0; lanes],
+            lane_fj: vec![Vec::new(); lanes],
             cycles: 0,
         }
     }
@@ -457,7 +397,7 @@ impl<'a> PowerAnalyzer<'a> {
         let mut counts = vec![0u64; self.nl.gate_count()];
         for c in 1..frames.len() {
             frames[c - 1].for_each_diff(&frames[c], |i| {
-                if let Some(gid) = self.nl.driver_of(xbound_netlist::NetId(i as u32)) {
+                if let Some(gid) = self.nl.driver_of(NetId(i as u32)) {
                     counts[gid.index()] += 1;
                 }
             });
@@ -474,10 +414,9 @@ impl<'a> PowerAnalyzer<'a> {
 /// f64 operations of the scalar [`PowerAnalyzer::analyze`], so the
 /// finished traces are bit-identical to per-lane scalar analysis.
 ///
-/// A cycle accumulates into one dense row: per lane, the cycle's total
-/// and then one slot per module. The row is appended to each lane's
-/// trace once, when the cycle closes, so a toggled lane costs two adds
-/// into a small hot buffer.
+/// A cycle accumulates into one dense row, one slot per lane, appended
+/// to each lane's trace once, when the cycle closes, so a toggled lane
+/// costs one add into a small hot buffer.
 ///
 /// Internally the accumulation is pure femtojoules ([`EnergyTrace`]
 /// layout); the clock enters only in [`BatchPowerAccumulator::finish`]'s
@@ -487,13 +426,11 @@ impl<'a> PowerAnalyzer<'a> {
 pub struct BatchPowerAccumulator<'a> {
     analyzer: &'a PowerAnalyzer<'a>,
     lanes: usize,
-    /// Slots per lane in a row: the total, then one per module.
-    stride: usize,
     prev: Option<BatchFrame>,
-    /// The open cycle, `[lane][1 + module]`, femtojoules.
+    /// The open cycle, one slot per lane, femtojoules.
     row: Vec<f64>,
-    /// Closed cycles per lane, `[lane][cycle][1 + module]`, femtojoules.
-    lane_rows: Vec<Vec<f64>>,
+    /// Closed cycles per lane, `[lane][cycle]`, femtojoules.
+    lane_fj: Vec<Vec<f64>>,
     cycles: usize,
 }
 
@@ -503,15 +440,11 @@ impl BatchPowerAccumulator<'_> {
         self.cycles
     }
 
-    /// Closes the open cycle: appends each lane's slice of the row to its
+    /// Closes the open cycle: appends each lane's slot of the row to its
     /// trace and zeroes the row for the next cycle.
     fn close_cycle(&mut self) {
-        for (rows, lane) in self
-            .lane_rows
-            .iter_mut()
-            .zip(self.row.chunks_exact(self.stride))
-        {
-            rows.extend_from_slice(lane);
+        for (fj, &e) in self.lane_fj.iter_mut().zip(&self.row) {
+            fj.push(e);
         }
         self.row.fill(0.0);
         self.cycles += 1;
@@ -519,8 +452,8 @@ impl BatchPowerAccumulator<'_> {
 
     /// The transition kernel: classifies one net's per-lane transition
     /// (rise / fall / X-endpoint) and adds the net's energy from the
-    /// analyzer's per-net table into every changed lane's total and
-    /// module slots of the open row.
+    /// analyzer's per-net table into every changed lane's slot of the
+    /// open row.
     ///
     /// A changed lane lands in exactly one class mask, so each lane
     /// accumulates at most one energy per net, in ascending net order —
@@ -538,9 +471,7 @@ impl BatchPowerAccumulator<'_> {
         if (a.driven[i / 64] >> (i % 64)) & 1 == 0 {
             return; // primary input toggles cost nothing themselves
         }
-        let net = &a.nets[i];
-        let slot = 1 + net.module;
-        let stride = self.stride;
+        let net = a.nets[i];
         let known = !p.unk & !q.unk;
         let rise = changed & known & !p.val & q.val;
         let fall = changed & known & p.val & !q.val;
@@ -550,13 +481,10 @@ impl BatchPowerAccumulator<'_> {
             (fall, Transition::Fall),
             (xchg, Transition::X),
         ] {
-            let e = net.of(t);
+            let e = net[t as usize];
             let mut m = mask;
             while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                let lane = &mut self.row[l * stride..(l + 1) * stride];
-                lane[0] += e;
-                lane[slot] += e;
+                self.row[m.trailing_zeros() as usize] += e;
                 m &= m - 1;
             }
         }
@@ -648,17 +576,12 @@ impl BatchPowerAccumulator<'_> {
         for &n in lane_cycles {
             assert!(n <= pushed, "lane cycle count exceeds pushed cycles");
         }
-        let stride = self.stride;
-        self.lane_rows
+        self.lane_fj
             .into_iter()
             .zip(lane_cycles)
-            .map(|(rows, &n)| {
-                let rows = &rows[..n * stride];
-                let column = |slot: usize| rows.chunks_exact(stride).map(|r| r[slot]).collect();
-                EnergyTrace {
-                    per_cycle_fj: column(0),
-                    per_module_fj: (1..stride).map(column).collect(),
-                }
+            .map(|(mut per_cycle_fj, &n)| {
+                per_cycle_fj.truncate(n);
+                EnergyTrace { per_cycle_fj }
             })
             .collect()
     }
@@ -760,22 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn per_module_sums_to_total() {
-        let (nl, frames) = counter_frames(32);
-        let lib = CellLibrary::ulp65();
-        let a = PowerAnalyzer::new(&nl, &lib, 100.0e6);
-        let t = a.analyze(&frames);
-        for c in 0..t.cycles() {
-            let module_sum: f64 = t.per_module_mw().iter().map(|m| m[c]).sum();
-            let dynamic = t.per_cycle_mw()[c] - a.floor_mw();
-            assert!(
-                (module_sum - dynamic).abs() < 1e-9,
-                "cycle {c}: {module_sum} vs {dynamic}"
-            );
-        }
-    }
-
-    #[test]
     fn higher_clock_higher_power_same_energy() {
         let (nl, frames) = counter_frames(32);
         let lib = CellLibrary::ulp65();
@@ -808,17 +715,6 @@ mod tests {
         let dyn_mw = t.per_cycle_mw()[1] - an.floor_mw();
         let exp = lib.max_transition_energy_fj(CellKind::Inv) * 1.0e6 * 1e-12;
         assert!((dyn_mw - exp).abs() < 1e-12);
-    }
-
-    #[test]
-    fn module_breakdown_sorted() {
-        let (nl, frames) = counter_frames(16);
-        let lib = CellLibrary::ulp65();
-        let t = PowerAnalyzer::new(&nl, &lib, 100.0e6).analyze(&frames);
-        let b = t.module_breakdown_at(5);
-        for w in b.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
     }
 
     /// Two modules, primary inputs that toggle (undriven: free), and a
@@ -878,22 +774,16 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn assert_same_bits(got: &PowerTrace, want: &PowerTrace, what: &str) {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
             bits(got.per_cycle_mw()),
             bits(want.per_cycle_mw()),
             "{what}: totals"
         );
-        assert_eq!(got.per_module_mw().len(), want.per_module_mw().len());
-        for (m, (g, w)) in got
-            .per_module_mw()
-            .iter()
-            .zip(want.per_module_mw())
-            .enumerate()
-        {
-            assert_eq!(bits(g), bits(w), "{what}: module {m}");
-        }
         assert_eq!(got, want, "{what}");
     }
 
@@ -903,7 +793,7 @@ mod tests {
         // Every lane runs its own 3-valued stimulus over a design with
         // gates in two modules: lane `l` holds each net with probability
         // 1/2 and draws it X with probability 0, 1/8 or 1/3, so X
-        // endpoints land in every row and module slot. Each lane's trace,
+        // endpoints land in every row. Each lane's trace,
         // cut to its own length, equals the scalar analysis of its frames
         // bit for bit, through both the full scan and the change list.
         let nl = two_module_design();
@@ -988,21 +878,10 @@ mod tests {
         let nl = two_module_design();
         let libs = [CellLibrary::ulp65(), skewed_library()];
         let mut next = xorshift(0x2545_f491_4f6c_dd1d);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for round in 0..40 {
             let a = PowerAnalyzer::new(&nl, &libs[round % 2], 100.0e6);
-            // Random 3-valued frames: X endpoints on both sides of a
-            // pair, and X → X pairs, at every net, inputs included.
             let frames: Vec<Frame> = (0..1 + next() as usize % 12)
-                .map(|_| {
-                    (0..nl.net_count())
-                        .map(|_| match next() % 5 {
-                            0 => Lv::X,
-                            1 | 2 => Lv::Zero,
-                            _ => Lv::One,
-                        })
-                        .collect()
-                })
+                .map(|_| random_frame(&nl, &mut next))
                 .collect();
             for boundary in [None, Some(&frames[0])] {
                 let rest = &frames[usize::from(boundary.is_some())..];
@@ -1015,11 +894,60 @@ mod tests {
                 }
                 let reference = acc.finish_energy(None).pop().unwrap();
                 assert_eq!(bits(walk.per_cycle_fj()), bits(reference.per_cycle_fj()));
-                assert_eq!(walk.per_module_fj().len(), reference.per_module_fj().len());
-                for (w, r) in walk.per_module_fj().iter().zip(reference.per_module_fj()) {
-                    assert_eq!(bits(w), bits(r));
-                }
             }
+        }
+    }
+
+    /// A random 3-valued frame: across a pair, X endpoints on both sides
+    /// and X → X pairs, at every net, inputs included.
+    fn random_frame(nl: &Netlist, next: &mut impl FnMut() -> u64) -> Frame {
+        (0..nl.net_count())
+            .map(|_| match next() % 5 {
+                0 => Lv::X,
+                1 | 2 => Lv::Zero,
+                _ => Lv::One,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn module_energy_splits_the_walk_by_driver_module() {
+        // Each module's entry is the brute-force ascending sum of its
+        // driven nets' transition energies, bit for bit, and the entries
+        // add up to the walk's total for the pair.
+        let nl = two_module_design();
+        let libs = [CellLibrary::ulp65(), skewed_library()];
+        let mut next = xorshift(0x6a09_e667_f3bc_c909);
+        for round in 0..200 {
+            let lib = &libs[round % 2];
+            let a = PowerAnalyzer::new(&nl, lib, 100.0e6);
+            let (prev, cur) = (random_frame(&nl, &mut next), random_frame(&nl, &mut next));
+            let got = a.module_energy_fj(&prev, &cur);
+            let mut want = vec![0.0f64; nl.modules().len()];
+            for i in 0..nl.net_count() {
+                let (p, q) = (prev.get(i), cur.get(i));
+                let Some(g) = nl.driver_of(NetId(i as u32)) else {
+                    continue;
+                };
+                if p == q {
+                    continue;
+                }
+                let cell = lib.power(nl.gate(g).kind());
+                want[nl.gate(g).module().index()] += match (p, q) {
+                    (Lv::Zero, Lv::One) => cell.energy_rise_fj,
+                    (Lv::One, Lv::Zero) => cell.energy_fall_fj,
+                    _ => cell.max_energy_fj(),
+                };
+            }
+            assert_eq!(bits(&got), bits(&want), "round {round}");
+            let total = a
+                .analyze_energy_with_boundary(Some(&prev), std::slice::from_ref(&cur))
+                .per_cycle_fj()[1];
+            let sum: f64 = got.iter().sum();
+            assert!(
+                (sum - total).abs() <= 1e-12 * total,
+                "round {round}: {sum} vs {total}"
+            );
         }
     }
 

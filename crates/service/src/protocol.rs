@@ -21,7 +21,10 @@
 //! `analyze` accepts optional knobs `widen_threshold`, `energy_rounds`,
 //! `max_total_cycles`, `max_segment_cycles` (defaults:
 //! [`ExploreConfig::suite_default`] + 10 000 energy rounds — the library
-//! defaults of [`xbound_core::CoAnalysis`]).
+//! defaults of [`xbound_core::CoAnalysis`]). `energy_rounds` must lie in
+//! `1..=`[`MAX_ENERGY_ROUNDS`]: zero rounds would report a zero energy
+//! "bound", and a larger budget would hold a worker for its whole length
+//! on a program whose tree has a loop.
 //!
 //! The `analyze` response is **deliberately free of serving metadata**
 //! (`{"ok": true, "key": "<hex16>", "bounds": {...}}`): a cached answer
@@ -36,6 +39,12 @@ use xbound_msp430::Program;
 /// Default peak-energy value-iteration rounds for raw `analyze` requests
 /// (the [`xbound_core::CoAnalysis`] builder default).
 pub const DEFAULT_ENERGY_ROUNDS: u64 = 10_000;
+
+/// The largest `energy_rounds` a request may ask for: far above the
+/// suite's own 2 000–6 000, and about a second of value iteration per
+/// corner on the suite's looping programs (whose trees never converge,
+/// so every round runs).
+pub const MAX_ENERGY_ROUNDS: u64 = 1_000_000;
 
 /// Protocol revision, bumped whenever the wire format gains or changes
 /// an op or response field. Carried (with the crate version) in the
@@ -167,6 +176,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 config.max_segment_cycles = n;
             }
             let energy_rounds = opt_u64("energy_rounds")?.unwrap_or(DEFAULT_ENERGY_ROUNDS);
+            if !(1..=MAX_ENERGY_ROUNDS).contains(&energy_rounds) {
+                return Err(format!(
+                    "`energy_rounds` must be 1 to {MAX_ENERGY_ROUNDS}, got {energy_rounds}"
+                ));
+            }
             Ok(Request::Analyze {
                 source,
                 image,
@@ -567,6 +581,9 @@ mod tests {
         for bad in [
             r#"{"op": "analyze", "source": "x", "energy_rounds": "500"}"#,
             r#"{"op": "analyze", "source": "x", "energy_rounds": -1}"#,
+            r#"{"op": "analyze", "source": "x", "energy_rounds": 0}"#,
+            r#"{"op": "analyze", "source": "x", "energy_rounds": 1000001}"#,
+            r#"{"op": "analyze", "source": "x", "energy_rounds": 9007199254740992}"#,
             r#"{"op": "analyze", "source": "x", "max_total_cycles": 1.5}"#,
             r#"{"op": "analyze", "source": "x", "widen_threshold": 5000000000}"#,
         ] {

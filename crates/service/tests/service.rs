@@ -2,7 +2,8 @@
 //! byte-identical responses, single-flight deduplication of concurrent
 //! identical requests, warm restarts from the on-disk store,
 //! byte-identity of daemon bounds against the direct `CoAnalysis` path,
-//! the exact `stats` fields, and the request-line cap.
+//! the exact `stats` fields, the request-line cap and the energy-budget
+//! cap.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -339,6 +340,32 @@ fn over_long_request_line_is_refused_and_the_daemon_serves_on() {
     let stats = Client::connect(server.addr()).roundtrip(&protocol::op_request("stats"));
     assert!(stats.contains("\"ok\": true"), "{stats}");
     Client::connect(server.addr()).roundtrip(&protocol::op_request("shutdown"));
+    server.join();
+}
+
+/// An `energy_rounds` budget past the cap is refused before any work:
+/// on this looping program every round would run, so at 2^53 rounds the
+/// analysis would hold a worker for years. The connection serves on.
+#[test]
+fn oversized_energy_budget_is_refused_at_once_and_the_connection_serves_on() {
+    let server = memory_only_server();
+    let mut client = Client::connect(server.addr());
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    let looping = r"main:\n mov &0x0020, r4\nloop:\n dec r4\n jnz loop\n jmp $\n";
+    let refused = client.roundtrip(&format!(
+        r#"{{"op": "analyze", "source": "{looping}", "energy_rounds": 9007199254740992}}"#
+    ));
+    assert!(
+        refused.contains("\"ok\": false") && refused.contains("energy_rounds"),
+        "{refused}"
+    );
+    let stats = client.roundtrip(&protocol::op_request("stats"));
+    assert!(stats.contains("\"ok\": true"), "{stats}");
+    client.roundtrip(&protocol::op_request("shutdown"));
     server.join();
 }
 
